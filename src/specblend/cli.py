@@ -36,6 +36,7 @@ from .evalmetrics import (
     FoldMetrics,
     _guard_fold,
     evaluate_fold,
+    protocol_dims,
     run_protocol,
     write_report_csv,
     write_report_json,
@@ -54,8 +55,12 @@ from .trialdata import generate_synthetic, make_splits, save_trialset
 def _prepare(cfg: RunConfig):
     ts = cfg.load_dataset()
     bank = cfg.make_bank(ts.fs)
+    try:
+        dims = protocol_dims(ts, bank, cfg.u, cfg.latent)
+    except ValueError as exc:
+        raise ConfigError(f"dataset unusable: {exc}") from exc
     plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k, cfg.seed)
-    return ts, bank, plan
+    return ts, bank, plan, dims
 
 
 def _fold_or_die(plan, index: int):
@@ -110,7 +115,7 @@ def _fit_fold(cfg: RunConfig, ts, bank, fold):
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     chash = cfg.config_hash()
-    ts, bank, plan = _prepare(cfg)
+    ts, bank, plan, dims = _prepare(cfg)
     fold = _fold_or_die(plan, args.fold)
 
     train_set, xf = _fit_fold(cfg, ts, bank, fold)
@@ -118,9 +123,6 @@ def cmd_train(args) -> int:
     tx = transform_batch(xf, train_set)
     vx = transform_batch(xf, val_set)
 
-    latent = cfg.latent if cfg.latent is not None else cfg.u * bank.n_bands
-    dims = ModelDims(t=tx.shape[2], u=cfg.u, n_bands=bank.n_bands,
-                     latent=latent, n_classes=2)
     model = MultiTaskAE(
         dims, rng=np.random.default_rng([cfg.seed, args.fold, 1]))
     result = train(model, tx, train_set.labels, vx, val_set.labels,
@@ -154,7 +156,7 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     chash = cfg.config_hash()
-    ts, bank, plan = _prepare(cfg)
+    ts, bank, plan, _ = _prepare(cfg)
     out = _outdir(cfg)
 
     if args.checkpoint is not None:
@@ -218,7 +220,7 @@ def _parse_grid(specs) -> list:
 def _sweep_point(payload):
     index, doc = payload
     cfg = RunConfig.from_dict(doc)
-    ts, bank, plan = _prepare(cfg)
+    ts, bank, plan, _ = _prepare(cfg)
     report = run_protocol(ts, plan, cfg.train_config(), bank=bank)
     return index, cfg.config_hash(), report
 

@@ -169,20 +169,21 @@ def csp_fit(cov1, cov2, u):
 
 
 def csp_apply(w_selected, block):
-    """Project a trial block through the selected filters.
+    """Project trial blocks through the selected filters.
 
     Parameters
     ----------
     w_selected : ndarray, shape (n_channels, u)
-    block : ndarray, shape (n_channels, t)
+    block : ndarray, shape (..., n_channels, t)
+        One block or a stack of them.
 
     Returns
     -------
-    ndarray, shape (u, t)
+    ndarray, shape (..., u, t)
     """
     w = np.asarray(w_selected, dtype=np.float64)
     block = np.asarray(block, dtype=np.float64)
-    if block.ndim != 2 or block.shape[0] != w.shape[0]:
+    if block.ndim < 2 or block.shape[-2] != w.shape[0]:
         raise ValueError(
             f"block shape {block.shape} incompatible with filters {w.shape}"
         )

@@ -182,6 +182,30 @@ def evaluate_fold(model: MultiTaskAE, test_x: np.ndarray,
     return acc, f1, auc
 
 
+def protocol_dims(ts: TrialSet, bank: FilterBank, u: int,
+                  latent: Optional[int] = None) -> ModelDims:
+    """Model shape of every fold of a protocol over ``ts``, checked
+    before any filtering.
+
+    ``latent=None`` means u * n_bands.  Raises ValueError when the labels
+    are not exactly {0, 1}, when the trials are too short to pad for the
+    bank's filters, or when ``ModelDims`` rejects the shape (t must be a
+    positive multiple of 100).
+    """
+    present = np.unique(ts.labels).tolist()
+    if present != [0, 1]:
+        raise ValueError(f"labels must be exactly {{0, 1}}, found {present}")
+    padlen = max(d.padlen for d in bank.designs)
+    if ts.n_samples <= padlen:
+        raise ValueError(
+            f"trials of {ts.n_samples} samples are too short for padding "
+            f"length {padlen}")
+    if latent is None:
+        latent = u * bank.n_bands
+    return ModelDims(t=ts.n_samples, u=u, n_bands=bank.n_bands,
+                     latent=latent, n_classes=2)
+
+
 def run_protocol(ts: TrialSet, plan: SplitPlan, config: TrainConfig,
                  bank: Optional[FilterBank] = None,
                  collect: Optional[list] = None) -> EvalReport:
@@ -190,10 +214,13 @@ def run_protocol(ts: TrialSet, plan: SplitPlan, config: TrainConfig,
     Each fold gets its own shuffling and initialization generators
     derived from (config.seed, fold position), so fold results do not
     depend on evaluation order.  ``collect``, if given, receives the
-    per-fold :class:`TrainResult` objects.
+    per-fold :class:`TrainResult` objects.  Inputs the protocol cannot
+    run raise ValueError (see :func:`protocol_dims`) before any fold is
+    filtered.
     """
     if bank is None:
         bank = make_filter_bank(ts.fs)
+    dims = protocol_dims(ts, bank, config.u, config.latent)
     report = EvalReport(kind=plan.kind, k=plan.k, seed=config.seed)
     for fi, fold in enumerate(plan.folds):
         train_set = ts.select(fold.train)
@@ -206,11 +233,6 @@ def run_protocol(ts: TrialSet, plan: SplitPlan, config: TrainConfig,
         vx = transform_batch(xf, val_set)
         sx = transform_batch(xf, test_set)
 
-        latent = config.latent
-        if latent is None:
-            latent = config.u * bank.n_bands
-        dims = ModelDims(t=tx.shape[2], u=config.u, n_bands=bank.n_bands,
-                         latent=latent, n_classes=2)
         model = MultiTaskAE(
             dims, rng=np.random.default_rng([config.seed, fi, 1]))
         result = train(model, tx, train_set.labels, vx, val_set.labels,

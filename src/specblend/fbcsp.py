@@ -52,14 +52,15 @@ class SpectralSpatialTransform:
 
 @dataclass(frozen=True)
 class SpectralSpatialTensor:
-    """Network-ready single trial, shape (1, t, n_bands * u)."""
+    """Network-ready trials, shape (..., 1, t, n_bands * u): one trial is
+    (1, t, channels), a stack of n is (n, 1, t, channels)."""
 
     values: np.ndarray
 
     def __post_init__(self):
         v = np.asarray(self.values, dtype=np.float64)
-        if v.ndim != 3 or v.shape[0] != 1:
-            raise ValueError(f"expected shape (1, t, channels), got {v.shape}")
+        if v.ndim < 3 or v.shape[-3] != 1:
+            raise ValueError(f"expected shape (..., 1, t, channels), got {v.shape}")
         if not np.all(np.isfinite(v)):
             raise ValueError("tensor contains non-finite values")
         object.__setattr__(self, "values", v)
@@ -100,9 +101,7 @@ def fbcsp_fit(train, bank, u):
     if abs(train.fs - bank.fs) > 1e-9:
         raise ValueError(f"trial fs {train.fs} does not match bank fs {bank.fs}")
 
-    banded = np.stack(
-        [apply_bank(sig.astype(np.float64), bank) for sig in train.signals]
-    )  # (n, n_bands, n_ch, t)
+    banded = apply_bank(train.signals, bank)  # (n, n_bands, n_ch, t)
     filters = []
     for k in range(bank.n_bands):
         covs = [
@@ -119,35 +118,36 @@ def fbcsp_fit(train, bank, u):
     )
 
 
-def fbcsp_transform(xf, trial):
-    """Project one trial into the channels-last network tensor.
+def fbcsp_transform(xf, trials):
+    """Project trials into the channels-last network tensor.
 
     Parameters
     ----------
     xf : SpectralSpatialTransform
-    trial : ndarray, shape (n_channels, t)
+    trials : ndarray, shape (n_channels, t) or (n, n_channels, t)
+        One trial or a stack of them.
 
     Returns
     -------
-    SpectralSpatialTensor, values shape (1, t, n_bands * u)
+    SpectralSpatialTensor, values shape (1, t, n_bands * u) for one trial
+    or (n, 1, t, n_bands * u) for a stack, C-contiguous
     """
-    trial = np.asarray(trial, dtype=np.float64)
-    if trial.ndim != 2 or trial.shape[0] != xf.n_channels:
+    trials = np.asarray(trials, dtype=np.float64)
+    if trials.ndim not in (2, 3) or trials.shape[-2] != xf.n_channels:
         raise ValueError(
-            f"trial shape {trial.shape} does not match the fitted "
+            f"trial shape {trials.shape} does not match the fitted "
             f"{xf.n_channels} channels"
         )
-    banded = apply_bank(trial, xf.bank)
-    rows = [csp_apply(w, banded[k]) for k, w in enumerate(xf.per_band_filters)]
-    stacked = np.concatenate(rows, axis=0)  # (n_bands*u, t), band-major
-    return SpectralSpatialTensor(values=stacked.T[np.newaxis])
+    banded = apply_bank(trials, xf.bank)  # (..., n_bands, n_ch, t)
+    rows = [csp_apply(w, banded[..., k, :, :]) for k, w in enumerate(xf.per_band_filters)]
+    stacked = np.concatenate(rows, axis=-2)  # (..., n_bands*u, t), band-major
+    values = np.ascontiguousarray(np.swapaxes(stacked, -1, -2))
+    return SpectralSpatialTensor(values=values[..., np.newaxis, :, :])
 
 
 def transform_batch(xf, ts):
     """Transform every trial of a TrialSet, stacked as (n, 1, t, channels)."""
-    return np.stack(
-        [fbcsp_transform(xf, sig.astype(np.float64)).values for sig in ts.signals]
-    )
+    return fbcsp_transform(xf, ts.signals).values
 
 
 def save_transform(xf, path, extra_meta=None):

@@ -1,8 +1,10 @@
 """Butterworth band-pass bank and zero-phase filtering.
 
 Nine 4 Hz-wide bands covering 4-40 Hz by default.  Filters are designed
-as second-order sections and applied forward-backward so the effective
-magnitude response is squared and the phase response cancels.
+as second-order sections and applied with ``scipy.signal.sosfiltfilt``
+along the last axis, with odd padding over ``3 * (2 * order)`` samples,
+so the effective magnitude response is squared and the phase response
+cancels.  One call per band filters every trial and channel at once.
 """
 
 from __future__ import annotations
@@ -53,6 +55,12 @@ class BandpassDesign:
     def gain(self, freq_hz):
         """Zero-phase (two-pass) magnitude gain at ``freq_hz``."""
         return np.abs(self.response(freq_hz)) ** 2
+
+    @property
+    def padlen(self):
+        """Odd-extension length of zero-phase filtering: three times the
+        2*order pole count, enough for edge transients to die."""
+        return 3 * (2 * self.order)
 
 
 @dataclass(frozen=True)
@@ -122,73 +130,59 @@ def make_filter_bank(fs, bands=DEFAULT_BANDS, order=DEFAULT_ORDER):
     return FilterBank(bands=tuple((float(lo), float(hi)) for lo, hi in bands), designs=designs)
 
 
-def _pad_len(design):
-    # Three times the 2*order pole count; enough for edge transients to die.
-    return 3 * (2 * design.order)
-
-
-def _single_pass(x, sos, zi_unit):
-    # Initial conditions scaled to the first sample kill the step transient.
-    y, _ = sps.sosfilt(sos, x, zi=zi_unit * x[0])
-    return y
-
-
 def zero_phase_filter(x, design):
-    """Filter forward and backward for zero net phase.
+    """Filter forward and backward along the last axis for zero net phase.
 
-    The signal is extended at both ends by odd reflection (point-mirrored
-    about the end samples) over ``3 * (2 * order)`` samples, filtered
-    forward, reversed, filtered again, reversed, and trimmed.  The result
-    has the squared magnitude response of the design and no phase shift.
+    This is ``scipy.signal.sosfiltfilt`` with odd padding: each signal is
+    extended at both ends by odd reflection (point-mirrored about the end
+    samples) over ``3 * (2 * order)`` samples, filtered forward from
+    initial conditions scaled to its first sample, filtered backward the
+    same way, and trimmed.  The result has the squared magnitude response
+    of the design and no phase shift.
 
     Parameters
     ----------
-    x : ndarray, shape (t,)
-        Input longer than the padding.
+    x : ndarray, shape (..., t)
+        Signals longer than the padding, filtered independently.
     design : BandpassDesign
 
     Returns
     -------
-    ndarray, float64, shape (t,)
+    ndarray, float64, shape (..., t)
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise ValueError(f"expected a 1-d signal, got shape {x.shape}")
-    pad = _pad_len(design)
-    if x.shape[0] <= pad:
+    if x.ndim == 0:
+        raise ValueError("expected a signal with a time axis, got a scalar")
+    if x.shape[-1] <= design.padlen:
         raise ValueError(
-            f"signal of length {x.shape[0]} is too short for padding length {pad}"
+            f"signal of length {x.shape[-1]} is too short for padding "
+            f"length {design.padlen}"
         )
-    left = 2.0 * x[0] - x[pad:0:-1]
-    right = 2.0 * x[-1] - x[-2 : -pad - 2 : -1]
-    ext = np.concatenate([left, x, right])
-    zi = sps.sosfilt_zi(design.sos)
-    y = _single_pass(ext, design.sos, zi)
-    y = _single_pass(y[::-1], design.sos, zi)
-    return np.ascontiguousarray(y[::-1][pad : pad + x.shape[0]])
+    return sps.sosfiltfilt(design.sos, x, axis=-1, padtype="odd", padlen=design.padlen)
 
 
-def apply_bank(trial, bank, fs=None):
-    """Zero-phase filter a multichannel trial through every band.
+def apply_bank(trials, bank, fs=None):
+    """Zero-phase filter multichannel trials through every band.
 
     Parameters
     ----------
-    trial : ndarray, shape (n_channels, t)
+    trials : ndarray, shape (..., n_channels, t)
+        One trial ``(n_channels, t)`` or a stack such as
+        ``(n, n_channels, t)``; each band is one filter call over all of it.
     bank : FilterBank
     fs : float, optional
-        Sampling rate of ``trial``; when given it must match the bank.
+        Sampling rate of ``trials``; when given it must match the bank.
 
     Returns
     -------
-    ndarray, float64, shape (n_bands, n_channels, t)
+    ndarray, float64, shape (..., n_bands, n_channels, t)
     """
-    trial = np.asarray(trial, dtype=np.float64)
-    if trial.ndim != 2:
-        raise ValueError(f"expected (channels, samples), got shape {trial.shape}")
+    x = np.asarray(trials, dtype=np.float64)
+    if x.ndim < 2:
+        raise ValueError(f"expected (..., channels, samples), got shape {x.shape}")
     if fs is not None and abs(float(fs) - bank.fs) > 1e-9:
         raise ValueError(f"trial fs {fs} does not match bank fs {bank.fs}")
-    out = np.empty((bank.n_bands, trial.shape[0], trial.shape[1]))
+    out = np.empty(x.shape[:-2] + (bank.n_bands,) + x.shape[-2:])
     for b, design in enumerate(bank.designs):
-        for c in range(trial.shape[0]):
-            out[b, c] = zero_phase_filter(trial[c], design)
+        out[..., b, :, :] = zero_phase_filter(x, design)
     return out

@@ -2,13 +2,14 @@
 
 Deliberately naive implementations: a cyclic Jacobi eigensolver to
 cross-check library eigendecompositions, central finite differences to
-check analytic gradients, and direct polynomial evaluation of filter
-transfer functions.
+check analytic gradients, direct polynomial evaluation of filter
+transfer functions, and a one-channel-at-a-time zero-phase filter bank.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy import signal as sps
 
 
 def jacobi_eigh(a, tol=1e-14, max_sweeps=200):
@@ -107,3 +108,33 @@ def ba_response(b, a, freq_hz, fs):
     num = np.polyval(b[::-1], zinv)
     den = np.polyval(a[::-1], zinv)
     return num / den
+
+
+def loop_zero_phase(x, design):
+    """Zero-phase filter one 1-d signal by hand: odd extension over
+    ``3 * (2 * order)`` samples at both ends, ``sosfilt`` forward and then
+    backward, each from ``sosfilt_zi`` scaled to its first sample, then
+    trimmed."""
+    x = np.asarray(x, dtype=np.float64)
+    pad = 3 * (2 * design.order)
+    left = 2.0 * x[0] - x[pad:0:-1]
+    right = 2.0 * x[-1] - x[-2 : -pad - 2 : -1]
+    ext = np.concatenate([left, x, right])
+    zi = sps.sosfilt_zi(design.sos)
+    y, _ = sps.sosfilt(design.sos, ext, zi=zi * ext[0])
+    y = y[::-1]
+    y, _ = sps.sosfilt(design.sos, y, zi=zi * y[0])
+    return y[::-1][pad : pad + x.shape[0]]
+
+
+def loop_bank(trials, bank):
+    """Every band of every channel of every trial of an (n, n_channels, t)
+    stack, one channel at a time; returns (n, n_bands, n_channels, t)."""
+    trials = np.asarray(trials, dtype=np.float64)
+    n, n_ch, t = trials.shape
+    out = np.empty((n, bank.n_bands, n_ch, t))
+    for i in range(n):
+        for b, design in enumerate(bank.designs):
+            for c in range(n_ch):
+                out[i, b, c] = loop_zero_phase(trials[i, c], design)
+    return out

@@ -2,12 +2,18 @@
 and cross-command flows (synth -> train -> eval, sweep, export-curves)
 on a miniature configuration."""
 
+import dataclasses
 import json
 
 import pytest
 
 from specblend.cli import main
-from specblend.trialdata import load_trialset
+from specblend.trialdata import (
+    SynthSpec,
+    generate_synthetic,
+    load_trialset,
+    save_trialset,
+)
 
 
 def mini_config(tmp_path, **overrides):
@@ -208,6 +214,27 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config",
                      str(tmp_path / "nope.json")]) == 2
+
+    def test_dataset_labelled_1_2_exits_2(self, tmp_path, capsys):
+        ts = generate_synthetic(SynthSpec(
+            n_subjects=1, trials_per_class_per_session=6, n_channels=6,
+            duration=2.0, seed=5))
+        data = tmp_path / "data" / "dataset.json"
+        data.parent.mkdir()
+        save_trialset(dataclasses.replace(ts, labels=ts.labels + 1), data)
+        cfg_path, _ = mini_config(tmp_path, data={"path": str(data)})
+        assert main(["eval", "--config", str(cfg_path)]) == 2
+        assert "exactly {0, 1}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("duration, match", [
+        (1.5, "multiple of 100"), (0.3, "too short")])
+    def test_unusable_trial_length_exits_2(self, tmp_path, capsys,
+                                           duration, match):
+        cfg_path, doc = mini_config(tmp_path)
+        doc["data"]["synth"]["duration"] = duration
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        assert match in capsys.readouterr().err
 
     def test_missing_log_file_is_runtime_error(self, tmp_path):
         code = main(["export-curves", "--log",

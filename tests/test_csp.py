@@ -165,9 +165,23 @@ class TestCspApply:
         w = np.random.default_rng(11).standard_normal((4, 2))
         assert np.all(csp_apply(w, np.zeros((4, 9))) == 0.0)
 
+    def test_stacked_blocks_project_one_by_one(self):
+        rng = np.random.default_rng(12)
+        w = rng.standard_normal((5, 2))
+        stack = rng.standard_normal((3, 4, 5, 20))
+        out = csp_apply(w, stack)
+        assert out.shape == (3, 4, 2, 20)
+        for i in range(3):
+            for j in range(4):
+                assert np.array_equal(out[i, j], csp_apply(w, stack[i, j]))
+
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError, match="incompatible"):
             csp_apply(np.zeros((4, 2)), np.zeros((5, 9)))
+        with pytest.raises(ValueError, match="incompatible"):
+            csp_apply(np.zeros((4, 2)), np.zeros((3, 5, 9)))
+        with pytest.raises(ValueError, match="incompatible"):
+            csp_apply(np.zeros((4, 2)), np.zeros(4))
 
     def test_heldout_variance_ordering(self):
         """Fit on session 0, project session 1: the first component's

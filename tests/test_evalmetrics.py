@@ -2,11 +2,13 @@
 synthetic dataset (short trials, narrow filter bank) so the end-to-end
 paths stay fast."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
+from specblend import evalmetrics
 from specblend.evalmetrics import (
     EvalReport,
     FoldMetrics,
@@ -211,6 +213,30 @@ class TestRunProtocol:
         again = run_protocol(ts, plan, mini_config(), bank=mini_bank())
         assert [r.__dict__ for r in again.rows] == \
             [r.__dict__ for r in report.rows]
+
+    @pytest.mark.parametrize("change, match", [
+        (dict(label_shift=1), "exactly"),
+        (dict(duration=1.5), "multiple of 100"),
+        (dict(duration=0.3), "too short"),
+    ])
+    def test_unusable_inputs_rejected_before_filtering(self, monkeypatch,
+                                                       change, match):
+        """Labels other than {0, 1}, t not a multiple of 100, and trials
+        too short to pad raise before the first transform fit."""
+        spec = SynthSpec(n_subjects=1, trials_per_class_per_session=6,
+                         n_channels=6, fs=100.0,
+                         duration=change.get("duration", 2.0), seed=5)
+        ts = generate_synthetic(spec)
+        ts = dataclasses.replace(
+            ts, labels=ts.labels + change.get("label_shift", 0))
+        plan = make_splits(ts, "subject_dependent", k=2, seed=0)
+
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fbcsp_fit reached")
+
+        monkeypatch.setattr(evalmetrics, "fbcsp_fit", no_fit)
+        with pytest.raises(ValueError, match=match):
+            run_protocol(ts, plan, mini_config(), bank=mini_bank())
 
     def test_collect_receives_fold_results(self):
         ts = mini_dataset()

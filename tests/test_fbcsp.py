@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from specblend.fbcsp import (
+    SpectralSpatialTensor,
     fbcsp_fit,
     fbcsp_transform,
     fit_fingerprint,
@@ -15,6 +16,7 @@ from specblend.filterbank import apply_bank, make_filter_bank
 from specblend.csp import csp_apply
 from specblend.trialdata import SynthSpec, generate_synthetic, make_splits
 from tests.support.oracle_classifier import oracle_fold_metrics
+from tests.support.oracles import loop_bank
 
 
 BANK = make_filter_bank(100.0)
@@ -81,6 +83,7 @@ class TestTransform:
         xf = fbcsp_fit(ts, BANK, u=2)
         out = fbcsp_transform(xf, ts.signals[0].astype(np.float64))
         assert out.values.shape == (1, 400, 18)
+        assert fbcsp_transform(xf, ts.signals[:3]).values.shape == (3, 1, 400, 18)
 
     def test_zero_trial_zero_tensor(self):
         ts = small_set(seed=8)
@@ -101,11 +104,47 @@ class TestTransform:
                 out[0, :, k * 4 : (k + 1) * 4], manual.T, atol=1e-12
             )
 
+    def test_batch_matches_loop_reference_bit_for_bit(self):
+        """transform_batch == per-trial, per-band projection of bands
+        filtered one channel at a time, band-major, exactly."""
+        ts = small_set(seed=12)
+        xf = fbcsp_fit(ts, BANK, u=4)
+        batch = transform_batch(xf, ts)
+        assert batch.shape == (ts.n_trials, 1, ts.n_samples, 36)
+        ref = loop_bank(ts.signals, BANK)
+        for i in range(ts.n_trials):
+            for k, w in enumerate(xf.per_band_filters):
+                assert np.array_equal(
+                    batch[i, 0, :, k * 4 : (k + 1) * 4], csp_apply(w, ref[i, k]).T
+                )
+
+    def test_single_trial_equals_its_batch_row(self):
+        ts = small_set(seed=13)
+        xf = fbcsp_fit(ts, BANK, u=4)
+        batch = transform_batch(xf, ts)
+        for i in (0, 5, ts.n_trials - 1):
+            assert np.array_equal(fbcsp_transform(xf, ts.signals[i]).values, batch[i])
+
     def test_dim_mismatch_rejected(self):
         ts = small_set(seed=10)
         xf = fbcsp_fit(ts, BANK, u=2)
         with pytest.raises(ValueError, match="channels"):
             fbcsp_transform(xf, np.zeros((5, ts.n_samples)))
+        with pytest.raises(ValueError, match="channels"):
+            fbcsp_transform(xf, np.zeros((3, 5, ts.n_samples)))
+        with pytest.raises(ValueError, match="channels"):
+            fbcsp_transform(xf, np.zeros((2, 3, 8, ts.n_samples)))
+
+    def test_tensor_shapes_with_leading_axes(self):
+        assert SpectralSpatialTensor(np.zeros((1, 100, 4))).values.shape == (1, 100, 4)
+        assert SpectralSpatialTensor(np.zeros((3, 1, 100, 4))).values.shape == (3, 1, 100, 4)
+        for bad in (np.zeros((100, 4)), np.zeros((3, 2, 100, 4))):
+            with pytest.raises(ValueError, match="expected shape"):
+                SpectralSpatialTensor(bad)
+        stack = np.zeros((3, 1, 100, 4))
+        stack[2, 0, 50, 1] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            SpectralSpatialTensor(stack)
 
 
 class TestSerialization:

@@ -15,7 +15,8 @@ from specblend.filterbank import (
     make_filter_bank,
     zero_phase_filter,
 )
-from tests.support.oracles import ba_response, sos_to_ba
+from specblend.trialdata import SynthSpec, generate_synthetic
+from tests.support.oracles import ba_response, loop_bank, sos_to_ba
 
 
 def oracle_gain(design, freq):
@@ -121,8 +122,18 @@ class TestZeroPhaseFilter:
 class TestApplyBank:
     def test_shape(self):
         bank = make_filter_bank(100.0)
-        out = apply_bank(np.random.default_rng(1).standard_normal((8, 400)), bank)
-        assert out.shape == (9, 8, 400)
+        x = np.random.default_rng(1).standard_normal((3, 8, 400))
+        assert apply_bank(x[0], bank).shape == (9, 8, 400)
+        assert apply_bank(x, bank).shape == (3, 9, 8, 400)
+
+    def test_stack_matches_channel_loop_bit_for_bit(self):
+        """One filter call per band over a trial stack gives exactly the
+        numbers of filtering each channel of each trial on its own."""
+        bank = make_filter_bank(100.0)
+        trials = generate_synthetic(
+            SynthSpec(n_subjects=1, trials_per_class_per_session=3, seed=12)
+        ).signals
+        assert np.array_equal(apply_bank(trials, bank), loop_bank(trials, bank))
 
     def test_pure_tone_energy_lands_in_its_band(self):
         """10 Hz tone: band (8,12) dominates, others carry <= 2%."""
@@ -156,3 +167,7 @@ class TestApplyBank:
         bank = make_filter_bank(100.0)
         with pytest.raises(ValueError, match="fs"):
             apply_bank(np.zeros((2, 200)), bank, fs=250.0)
+
+    def test_missing_channel_axis_rejected(self):
+        with pytest.raises(ValueError, match="channels, samples"):
+            apply_bank(np.zeros(200), make_filter_bank(100.0))
