@@ -1,9 +1,10 @@
 """Command-line surface.
 
 Subcommands: ``synth`` (generate a dataset), ``train`` (one fold),
-``eval`` (whole protocol, or one saved checkpoint), ``sweep`` (grid of
-config overrides, one report per point plus a summary table), and
-``export-curves`` (reshape a train log into a long-format curve table).
+``eval`` (whole protocol, or one saved checkpoint) and ``sweep`` (grid
+of config overrides, one report per point plus a summary table).
+``train`` and ``eval`` run the same per-fold chain as the protocol,
+``evalmetrics.run_fold`` and ``evalmetrics.score_fold``.
 
 Exit codes: 0 success, 2 configuration problems, 3 runtime failures.
 Every output file carries the resolved config hash.
@@ -13,15 +14,12 @@ from __future__ import annotations
 
 import argparse
 import copy
-import csv
 import hashlib
 import itertools
 import json
 import sys
 from multiprocessing import get_context
 from pathlib import Path
-
-import numpy as np
 
 from .blend import export_curves_csv
 from .config import (
@@ -33,22 +31,17 @@ from .config import (
 )
 from .evalmetrics import (
     EvalReport,
-    FoldMetrics,
     _guard_fold,
-    evaluate_fold,
     protocol_dims,
+    run_fold,
     run_protocol,
+    score_fold,
     write_report_csv,
     write_report_json,
 )
-from .fbcsp import fbcsp_fit, load_transform, save_transform, transform_batch
-from .model import ModelDims, MultiTaskAE
-from .trainer import (
-    load_model_state,
-    save_model_state,
-    train,
-    write_train_log_csv,
-)
+from .fbcsp import load_transform, save_transform
+from .model import MultiTaskAE
+from .trainer import load_model_state, save_model_state, write_train_log_csv
 from .trialdata import generate_synthetic, make_splits, save_trialset
 
 
@@ -105,29 +98,13 @@ def cmd_synth(args) -> int:
     return 0
 
 
-def _fit_fold(cfg: RunConfig, ts, bank, fold):
-    train_set = ts.select(fold.train)
-    xf = fbcsp_fit(train_set, bank, cfg.u)
-    _guard_fold(ts, fold, xf, bank, cfg.u)
-    return train_set, xf
-
-
 def cmd_train(args) -> int:
     cfg = load_config(args.config)
     chash = cfg.config_hash()
     ts, bank, plan, dims = _prepare(cfg)
     fold = _fold_or_die(plan, args.fold)
-
-    train_set, xf = _fit_fold(cfg, ts, bank, fold)
-    val_set = ts.select(fold.val)
-    tx = transform_batch(xf, train_set)
-    vx = transform_batch(xf, val_set)
-
-    model = MultiTaskAE(
-        dims, rng=np.random.default_rng([cfg.seed, args.fold, 1]))
-    result = train(model, tx, train_set.labels, vx, val_set.labels,
-                   cfg.train_config(),
-                   rng=np.random.default_rng([cfg.seed, args.fold]))
+    xf, result, row = run_fold(ts, fold, args.fold, cfg.train_config(),
+                               bank, dims)
 
     out = _outdir(cfg)
     save_transform(xf, out / f"transform_fold{args.fold}.json",
@@ -146,17 +123,19 @@ def cmd_train(args) -> int:
                       out / f"curves_fold{args.fold}.csv",
                       config_hash=chash)
     last = result.log.rows[-1]
+    auc = "NA" if row.auc is None else f"{row.auc:.4f}"
     print(f"fold {args.fold}: stopped at epoch {result.log.stopped_epoch}, "
           f"best epoch {result.log.best_epoch}, "
           f"final weights ({last.weights[0]:.3f}, {last.weights[1]:.3f}, "
-          f"{last.weights[2]:.3f})")
+          f"{last.weights[2]:.3f}), test accuracy {row.accuracy:.4f} "
+          f"f1 {row.f1:.4f} auc {auc}")
     return 0
 
 
 def cmd_eval(args) -> int:
     cfg = load_config(args.config)
     chash = cfg.config_hash()
-    ts, bank, plan, _ = _prepare(cfg)
+    ts, bank, plan, dims = _prepare(cfg)
     out = _outdir(cfg)
 
     if args.checkpoint is not None:
@@ -167,20 +146,15 @@ def cmd_eval(args) -> int:
         xf = load_transform(tpath)
         _guard_fold(ts, fold, xf, bank, cfg.u)
         state, _meta = load_model_state(args.checkpoint)
-        test_set = ts.select(fold.test)
-        sx = transform_batch(xf, test_set)
-        dims = ModelDims(
-            t=sx.shape[2], u=xf.u, n_bands=bank.n_bands,
-            latent=state["enc_fc.weight"].shape[1],
-            n_classes=state["cls_fc.weight"].shape[1])
         model = MultiTaskAE(dims)
-        model.load_state_dict(state)
-        acc, f1v, auc = evaluate_fold(model, sx, test_set.labels)
-        report = EvalReport(kind=plan.kind, k=plan.k, seed=cfg.seed)
-        report.rows.append(FoldMetrics(
-            subject=fold.subject, fold=fold.index,
-            n_test=len(test_set.labels),
-            accuracy=acc, f1=f1v, auc=auc))
+        try:
+            model.load_state_dict(state)
+        except (KeyError, ValueError) as exc:
+            raise ConfigError(
+                f"checkpoint {args.checkpoint} does not fit the config: "
+                f"{exc}") from exc
+        report = EvalReport(kind=plan.kind, k=plan.k, seed=cfg.seed,
+                            rows=[score_fold(model, xf, ts, fold)])
         stem = f"eval_fold{args.fold}"
     else:
         report = run_protocol(ts, plan, cfg.train_config(), bank=bank)
@@ -226,6 +200,8 @@ def _sweep_point(payload):
 
 
 def cmd_sweep(args) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     cfg = load_config(args.config)
     base_hash = cfg.config_hash()
     axes = _parse_grid(args.grid)
@@ -242,8 +218,9 @@ def cmd_sweep(args) -> int:
         RunConfig.from_dict(doc)      # validate before any work
         points.append((len(points), doc))
 
-    if args.workers > 1:
-        with get_context("fork").Pool(args.workers) as pool:
+    workers = min(args.workers, len(points))
+    if workers > 1:
+        with get_context("fork").Pool(workers) as pool:
             results = pool.map(_sweep_point, points)
     else:
         results = [_sweep_point(p) for p in points]
@@ -274,52 +251,6 @@ def cmd_sweep(args) -> int:
     summary.write_text("\n".join(lines) + "\n", encoding="utf-8")
     print("\n".join(lines[1:]))
     print(f"wrote {summary}")
-    return 0
-
-
-def cmd_export_curves(args) -> int:
-    try:
-        with open(args.log, "r", encoding="utf-8") as fh:
-            raw = fh.read().splitlines()
-    except OSError as exc:
-        raise RuntimeError(f"cannot read log {args.log}: {exc}")
-    chash = None
-    rows = []
-    header = None
-    for line in raw:
-        if line.startswith("# config_hash="):
-            chash = line.split("=", 1)[1]
-            continue
-        if line.startswith("#") or not line.strip():
-            continue
-        if header is None:
-            header = line.split(",")
-            continue
-        rows.append(line.split(","))
-    if header is None or header[:2] != ["checkpoint", "epoch"]:
-        raise RuntimeError(f"{args.log} is not a train-log CSV")
-    col = {name: i for i, name in enumerate(header)}
-    needed = ["w_mse", "w_triplet", "w_ce", "train_mse", "train_triplet",
-              "train_ce", "val_mse", "val_triplet", "val_ce"]
-    if any(name not in col for name in needed):
-        raise RuntimeError(f"{args.log} is missing train-log columns")
-
-    with open(args.out, "w", newline="", encoding="utf-8") as fh:
-        if chash is not None:
-            fh.write(f"# config_hash={chash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["checkpoint", "task", "train_loss", "val_loss",
-                         "weight"])
-        for row in rows:
-            n = row[col["checkpoint"]]
-            for m, task in enumerate(("mse", "triplet", "ce")):
-                writer.writerow([
-                    n, m,
-                    f"{float(row[col['train_' + task]]):.10g}",
-                    f"{float(row[col['val_' + task]]):.10g}",
-                    f"{float(row[col['w_' + task]]):.10g}",
-                ])
-    print(f"wrote {args.out}")
     return 0
 
 
@@ -360,12 +291,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="may be repeated; points are the cartesian product")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)
-
-    p = sub.add_parser("export-curves",
-                       help="train-log CSV -> long-format curve CSV")
-    p.add_argument("--log", required=True)
-    p.add_argument("--out", required=True)
-    p.set_defaults(func=cmd_export_curves)
     return parser
 
 

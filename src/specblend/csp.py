@@ -46,7 +46,7 @@ class ClassCovariance:
         object.__setattr__(self, "sigma", s)
 
 
-def class_covariance(trials, class_label, n_trials_expected=None):
+def class_covariance(trials, class_label):
     """Average the trace-normalized covariance over trials of one class.
 
     Each trial E of shape (n_channels, t) contributes E E^T / tr(E E^T);

@@ -1,10 +1,12 @@
 """Classification metrics and the outer evaluation protocol.
 
-``run_protocol`` walks a :class:`~specblend.trialdata.SplitPlan`: per
-fold it fits the spectral-spatial transform on the training indices
-only (assert-guarded against leakage), trains a fresh model, and scores
-the held-out test partition.  Results aggregate as an unweighted mean
-over folds within each subject, then mean +/- SD across subjects.
+``run_fold`` is the one per-fold chain: it fits the spectral-spatial
+transform on the training indices only (assert-guarded against
+leakage), trains a fresh model, and scores the held-out test partition
+with ``score_fold``.  ``run_protocol`` runs it over every fold of a
+:class:`~specblend.trialdata.SplitPlan`; the CLI's ``train`` runs it on
+one fold.  Results aggregate as an unweighted mean over folds within
+each subject, then mean +/- SD across subjects.
 """
 
 from __future__ import annotations
@@ -206,45 +208,58 @@ def protocol_dims(ts: TrialSet, bank: FilterBank, u: int,
                      latent=latent, n_classes=2)
 
 
+def score_fold(model: MultiTaskAE, xf, ts: TrialSet, fold) -> FoldMetrics:
+    """Score a trained model on the test trials of ``fold``, through the
+    fold's fitted transform ``xf``."""
+    test_set = ts.select(fold.test)
+    acc, f1, auc = evaluate_fold(model, transform_batch(xf, test_set),
+                                 test_set.labels)
+    return FoldMetrics(subject=fold.subject, fold=fold.index,
+                       n_test=len(test_set.labels),
+                       accuracy=acc, f1=f1, auc=auc)
+
+
+def run_fold(ts: TrialSet, fold, position: int, config: TrainConfig,
+             bank: FilterBank, dims: ModelDims):
+    """Fit, guard, train and score one fold.
+
+    The fold's shuffling and initialization generators derive from
+    (config.seed, position), so a fold's result does not depend on which
+    other folds run.  Returns the fitted transform, the
+    :class:`TrainResult` and the fold's :class:`FoldMetrics`; the model
+    is scored in the best state that ``train`` restored.
+    """
+    train_set = ts.select(fold.train)
+    xf = fbcsp_fit(train_set, bank, config.u)
+    _guard_fold(ts, fold, xf, bank, config.u)
+    val_set = ts.select(fold.val)
+    tx = transform_batch(xf, train_set)
+    vx = transform_batch(xf, val_set)
+    model = MultiTaskAE(
+        dims, rng=np.random.default_rng([config.seed, position, 1]))
+    result = train(model, tx, train_set.labels, vx, val_set.labels, config,
+                   rng=np.random.default_rng([config.seed, position]))
+    return xf, result, score_fold(model, xf, ts, fold)
+
+
 def run_protocol(ts: TrialSet, plan: SplitPlan, config: TrainConfig,
                  bank: Optional[FilterBank] = None,
                  collect: Optional[list] = None) -> EvalReport:
-    """Train and score one model per fold of ``plan``.
+    """Run :func:`run_fold` on every fold of ``plan``, in order.
 
-    Each fold gets its own shuffling and initialization generators
-    derived from (config.seed, fold position), so fold results do not
-    depend on evaluation order.  ``collect``, if given, receives the
-    per-fold :class:`TrainResult` objects.  Inputs the protocol cannot
-    run raise ValueError (see :func:`protocol_dims`) before any fold is
-    filtered.
+    ``collect``, if given, receives the per-fold :class:`TrainResult`
+    objects.  Inputs the protocol cannot run raise ValueError (see
+    :func:`protocol_dims`) before any fold is filtered.
     """
     if bank is None:
         bank = make_filter_bank(ts.fs)
     dims = protocol_dims(ts, bank, config.u, config.latent)
     report = EvalReport(kind=plan.kind, k=plan.k, seed=config.seed)
-    for fi, fold in enumerate(plan.folds):
-        train_set = ts.select(fold.train)
-        xf = fbcsp_fit(train_set, bank, config.u)
-        _guard_fold(ts, fold, xf, bank, config.u)
-
-        val_set = ts.select(fold.val)
-        test_set = ts.select(fold.test)
-        tx = transform_batch(xf, train_set)
-        vx = transform_batch(xf, val_set)
-        sx = transform_batch(xf, test_set)
-
-        model = MultiTaskAE(
-            dims, rng=np.random.default_rng([config.seed, fi, 1]))
-        result = train(model, tx, train_set.labels, vx, val_set.labels,
-                       config, rng=np.random.default_rng([config.seed, fi]))
+    for position, fold in enumerate(plan.folds):
+        _, result, row = run_fold(ts, fold, position, config, bank, dims)
         if collect is not None:
             collect.append(result)
-
-        acc, f1, auc = evaluate_fold(model, sx, test_set.labels)
-        report.rows.append(FoldMetrics(
-            subject=fold.subject, fold=fold.index,
-            n_test=len(test_set.labels),
-            accuracy=acc, f1=f1, auc=auc))
+        report.rows.append(row)
     return report
 
 

@@ -161,7 +161,7 @@ def zero_phase_filter(x, design):
     return sps.sosfiltfilt(design.sos, x, axis=-1, padtype="odd", padlen=design.padlen)
 
 
-def apply_bank(trials, bank, fs=None):
+def apply_bank(trials, bank):
     """Zero-phase filter multichannel trials through every band.
 
     Parameters
@@ -170,8 +170,6 @@ def apply_bank(trials, bank, fs=None):
         One trial ``(n_channels, t)`` or a stack such as
         ``(n, n_channels, t)``; each band is one filter call over all of it.
     bank : FilterBank
-    fs : float, optional
-        Sampling rate of ``trials``; when given it must match the bank.
 
     Returns
     -------
@@ -180,8 +178,6 @@ def apply_bank(trials, bank, fs=None):
     x = np.asarray(trials, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError(f"expected (..., channels, samples), got shape {x.shape}")
-    if fs is not None and abs(float(fs) - bank.fs) > 1e-9:
-        raise ValueError(f"trial fs {fs} does not match bank fs {bank.fs}")
     out = np.empty(x.shape[:-2] + (bank.n_bands,) + x.shape[-2:])
     for b, design in enumerate(bank.designs):
         out[..., b, :, :] = zero_phase_filter(x, design)

@@ -9,30 +9,9 @@ taken through the fused softmax.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 PROB_FLOOR = 1e-12
-
-
-@dataclass(frozen=True)
-class TaskLosses:
-    """The three task losses and their weighted combination."""
-
-    mse: float
-    triplet: float
-    ce: float
-    weighted_total: float
-
-    def __post_init__(self):
-        for name in ("mse", "triplet", "ce", "weighted_total"):
-            v = getattr(self, name)
-            if not np.isfinite(v):
-                raise ValueError(f"{name} loss is not finite: {v}")
-
-    def as_tuple(self):
-        return (self.mse, self.triplet, self.ce)
 
 
 def _batched(x):

@@ -249,13 +249,25 @@ class MultiTaskAE:
         return state
 
     def load_state_dict(self, state):
+        """Load a full :meth:`state_dict`.  Raises KeyError on an entry
+        the model does not have, and ValueError, before anything is
+        loaded, on a missing entry or one of another shape."""
+        expected = {k: v.shape for k, v in self.state_dict().items()}
+        for key in state:
+            if key not in expected:
+                raise KeyError(f"unknown state entry {key}")
+        for key, shape in expected.items():
+            if key not in state:
+                raise ValueError(f"state entry {key} is missing")
+            if np.shape(state[key]) != shape:
+                raise ValueError(
+                    f"state entry {key} has shape {np.shape(state[key])}, "
+                    f"the model expects {shape}")
         params = self.named_parameters()
+        layers = dict(self._layers())
         for key, value in state.items():
             if key in params:
                 params[key][...] = value
-                continue
-            name, _, stat = key.rpartition(".")
-            layer = dict(self._layers()).get(name)
-            if layer is None or stat not in ("running_mean", "running_var"):
-                raise KeyError(f"unknown state entry {key}")
-            setattr(layer, stat, np.array(value, dtype=np.float64))
+            else:
+                name, _, stat = key.rpartition(".")
+                setattr(layers[name], stat, np.array(value, dtype=np.float64))

@@ -345,24 +345,3 @@ class Dense(Layer):
         self.grads["weight"] += x.T @ dy
         self.grads["bias"] += dy.sum(axis=0)
         return dy @ self.params["weight"].T
-
-
-class Sequential:
-    """Forward/backward through a layer list, in order."""
-
-    def __init__(self, layers):
-        self.layers = list(layers)
-
-    def forward(self, x, train=True):
-        for layer in self.layers:
-            x = layer.forward(x, train=train)
-        return x
-
-    def backward(self, dy):
-        for layer in reversed(self.layers):
-            dy = layer.backward(dy)
-        return dy
-
-    def zero_grads(self):
-        for layer in self.layers:
-            layer.zero_grads()

@@ -1,19 +1,29 @@
 """Command-line behavior: artifact layout, exit codes, hash stamping,
-and cross-command flows (synth -> train -> eval, sweep, export-curves)
-on a miniature configuration."""
+and cross-command flows (synth -> train -> eval, sweep) on a miniature
+configuration."""
 
+import argparse
 import dataclasses
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from specblend.cli import main
+from specblend import cli
+from specblend.cli import build_parser, main
+from specblend.config import load_config
+from specblend.evalmetrics import run_protocol
+from specblend.trainer import write_train_log_csv
 from specblend.trialdata import (
     SynthSpec,
     generate_synthetic,
     load_trialset,
+    make_splits,
     save_trialset,
 )
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def mini_config(tmp_path, **overrides):
@@ -134,22 +144,49 @@ class TestTrain:
         assert code == 3
         assert "fingerprint" in capsys.readouterr().err
 
-    def test_export_curves(self, trained, tmp_path):
-        _, tmp, _, _ = trained
-        run = tmp / "run"
-        out = tmp_path / "curves.csv"
-        code = main(["export-curves",
-                     "--log", str(run / "trainlog_fold0.csv"),
-                     "--out", str(out)])
-        assert code == 0
-        lines = out.read_text().splitlines()
-        assert lines[0].startswith("# config_hash=")
-        assert lines[1] == "checkpoint,task,train_loss,val_loss,weight"
-        n_checkpoints = sum(
-            1 for line in
-            (run / "trainlog_fold0.csv").read_text().splitlines()
-            if line and not line.startswith(("#", "checkpoint")))
-        assert len(lines) == 2 + 3 * n_checkpoints
+    def test_eval_checkpoint_of_another_shape_exits_2(self, trained,
+                                                      tmp_path, capsys):
+        """A latent-1 checkpoint does not load into the config's model."""
+        _, tmp, cfg_path, _ = trained
+        small_cfg, _ = mini_config(tmp_path, model={"latent": 1})
+        assert main(["train", "--config", str(small_cfg)]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(tmp_path / "run" / "model_fold0.json"),
+                     "--transform", str(tmp / "run" / "transform_fold0.json"),
+                     "--fold", "0"])
+        assert code == 2
+        assert "enc_fc.weight" in capsys.readouterr().err
+
+
+class TestOneFoldPipeline:
+    def test_cli_fold_matches_protocol_fold(self, tmp_path):
+        """``train``/``eval --checkpoint`` on fold 1 reproduce fold 1 of
+        the protocol: the same train log, and the same test metrics as
+        the report that plain ``eval`` writes."""
+        cfg_path, _ = mini_config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["train", "--config", str(cfg_path), "--fold", "1"]) == 0
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(run / "model_fold1.json"),
+                     "--fold", "1"]) == 0
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+
+        cfg = load_config(cfg_path)
+        ts = cfg.load_dataset()
+        plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k, cfg.seed)
+        collect = []
+        run_protocol(ts, plan, cfg.train_config(), bank=cfg.make_bank(ts.fs),
+                     collect=collect)
+        write_train_log_csv(collect[1].log, tmp_path / "protocol_log.csv",
+                            config_hash=cfg.config_hash())
+        assert ((run / "trainlog_fold1.csv").read_bytes()
+                == (tmp_path / "protocol_log.csv").read_bytes())
+
+        single = json.loads((run / "eval_fold1.json").read_text())["folds"]
+        full = json.loads((run / "eval_report.json").read_text())["folds"]
+        for key in ("accuracy", "f1", "auc"):
+            assert single[0][key] == full[1][key], key
 
 
 class TestEvalProtocol:
@@ -182,6 +219,43 @@ class TestSweep:
         a = json.loads((run / "report_point000.json").read_text())
         b = json.loads((run / "report_point001.json").read_text())
         assert a["config_hash"] != b["config_hash"]
+
+    def test_workers_below_one_exits_2(self, tmp_path, capsys, monkeypatch):
+        def no_pool(method):
+            raise AssertionError("a pool was started")
+        monkeypatch.setattr(cli, "get_context", no_pool)
+        cfg_path, _ = mini_config(tmp_path)
+        code = main(["sweep", "--config", str(cfg_path),
+                     "--grid", "fbcsp.u=2,4", "--workers", "0"])
+        assert code == 2
+        assert "--workers" in capsys.readouterr().err
+
+    def test_pool_no_larger_than_the_grid(self, tmp_path, monkeypatch):
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                sizes.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items]
+
+        class Context:
+            Pool = InProcessPool
+
+        monkeypatch.setattr(cli, "get_context", lambda method: Context())
+        cfg_path, _ = mini_config(tmp_path,
+                                  train={"batch_size": 8, "max_epochs": 1})
+        code = main(["sweep", "--config", str(cfg_path),
+                     "--grid", "fbcsp.u=2,4", "--workers", "8"])
+        assert code == 0
+        assert sizes == [2]
 
     def test_grid_required(self, tmp_path, capsys):
         cfg_path, _ = mini_config(tmp_path)
@@ -236,19 +310,6 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert match in capsys.readouterr().err
 
-    def test_missing_log_file_is_runtime_error(self, tmp_path):
-        code = main(["export-curves", "--log",
-                     str(tmp_path / "nope.csv"),
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 3
-
-    def test_wrong_log_format_is_runtime_error(self, tmp_path):
-        p = tmp_path / "other.csv"
-        p.write_text("a,b\n1,2\n")
-        code = main(["export-curves", "--log", str(p),
-                     "--out", str(tmp_path / "o.csv")])
-        assert code == 3
-
 
 class TestReproducibility:
     def test_same_config_same_bytes(self, tmp_path):
@@ -260,3 +321,13 @@ class TestReproducibility:
             assert main(["train", "--config", str(cfg_path)]) == 0
             logs.append((sub / "run" / "trainlog_fold0.csv").read_bytes())
         assert logs[0] == logs[1]
+
+
+def test_readme_lists_every_subcommand():
+    """The README's CLI block names exactly the parser's subcommands."""
+    text = README.read_text(encoding="utf-8")
+    block = re.search(r"## CLI\n.*?```sh\n(.*?)```", text, re.S).group(1)
+    documented = set(re.findall(r"^specblend\s+(\S+)", block, re.M))
+    sub = next(a for a in build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    assert documented == set(sub.choices)

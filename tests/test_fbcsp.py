@@ -36,6 +36,10 @@ class TestFit:
             assert w.shape == (8, 4)
         assert xf.n_tensor_channels == 36
 
+    def test_fs_mismatch_rejected(self):
+        with pytest.raises(ValueError, match="fs"):
+            fbcsp_fit(small_set(seed=2), make_filter_bank(250.0), u=4)
+
     def test_u_grid_accepted(self):
         ts = generate_synthetic(
             SynthSpec(n_subjects=1, trials_per_class_per_session=6,

@@ -150,10 +150,6 @@ class TestWeightedTotal:
         with pytest.raises(ValueError, match="weights"):
             losses.weighted_total([1.0, 2.0], [1.0, 1.0, 1.0])
 
-    def test_task_losses_reject_non_finite(self):
-        with pytest.raises(ValueError, match="finite"):
-            losses.TaskLosses(mse=np.inf, triplet=0.0, ce=0.0, weighted_total=0.0)
-
 
 class TestLossThroughModel:
     """End-to-end gradient checks: each loss backpropagated through the

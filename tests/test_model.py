@@ -193,6 +193,26 @@ class TestState:
         with pytest.raises(KeyError, match="unknown"):
             model.load_state_dict({"nope.weight": np.zeros(3)})
 
+    def test_state_of_another_shape_rejected(self):
+        """A latent-1 state would broadcast into a latent-6 model."""
+        small = MultiTaskAE(ModelDims(t=100, u=2, n_bands=2, latent=1),
+                            rng=np.random.default_rng(20))
+        model = tiny_model(21)
+        before = model.state_dict()
+        with pytest.raises(ValueError,
+                           match=r"enc_fc\.weight has shape \(\d+, 1\), "
+                                 r"the model expects \(\d+, 6\)"):
+            model.load_state_dict(small.state_dict())
+        for key, value in model.state_dict().items():
+            np.testing.assert_array_equal(value, before[key])
+
+    @pytest.mark.parametrize("drop", ["cls_fc.", "enc_bn1.running_var"])
+    def test_missing_state_entry_rejected(self, drop):
+        state = {k: v for k, v in tiny_model(22).state_dict().items()
+                 if not k.startswith(drop)}
+        with pytest.raises(ValueError, match=f"{drop}.* is missing"):
+            tiny_model(23).load_state_dict(state)
+
     def test_backward_accumulates_into_all_heads(self):
         model = tiny_model(18)
         x = np.random.default_rng(19).standard_normal((3, 1, 100, 4))

@@ -250,15 +250,3 @@ class TestPlumbing:
         limit = np.sqrt(6.0 / 200)
         assert np.abs(w).max() <= limit
         assert np.abs(w).max() >= 0.9 * limit  # actually fills the range
-
-    def test_sequential_chains(self):
-        rng = np.random.default_rng(72)
-        seq = nn.Sequential([
-            nn.Conv(2, 3, 3, rng=rng), nn.Elu(), nn.AvgPool(2),
-            nn.Flatten(), nn.Dense(3 * 4, 2, rng=rng),
-        ])
-        x = rng.standard_normal((2, 1, 8, 2))
-        y = seq.forward(x)
-        assert y.shape == (2, 2)
-        dx = seq.backward(np.ones_like(y))
-        assert dx.shape == x.shape
