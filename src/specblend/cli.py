@@ -47,11 +47,11 @@ from .trialdata import generate_synthetic, make_splits, save_trialset
 
 def _prepare(cfg: RunConfig):
     ts = cfg.load_dataset()
-    bank = cfg.make_bank(ts.fs)
     try:
+        bank = cfg.make_bank(ts.fs)
         dims = protocol_dims(ts, bank, cfg.u, cfg.latent)
     except ValueError as exc:
-        raise ConfigError(f"dataset unusable: {exc}") from exc
+        raise ConfigError(f"config cannot run on this dataset: {exc}") from exc
     plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k, cfg.seed)
     return ts, bank, plan, dims
 

@@ -35,31 +35,20 @@ def accuracy(y_true, y_pred) -> float:
     return float(np.mean(y_true == y_pred))
 
 
-def _binary_f1(y_true, y_pred, positive) -> float:
-    tp = int(np.sum((y_pred == positive) & (y_true == positive)))
-    fp = int(np.sum((y_pred == positive) & (y_true != positive)))
-    fn = int(np.sum((y_pred != positive) & (y_true == positive)))
+def f1_score(y_true, y_pred) -> float:
+    """F1 of the positive class (index 1)."""
+    y_true = np.asarray(y_true)
+    y_pred = np.asarray(y_pred)
+    if y_true.shape != y_pred.shape or y_true.size == 0:
+        raise ValueError("labels must be non-empty and aligned")
+    tp = int(np.sum((y_pred == 1) & (y_true == 1)))
+    fp = int(np.sum((y_pred == 1) & (y_true != 1)))
+    fn = int(np.sum((y_pred != 1) & (y_true == 1)))
     if tp == 0:
         return 0.0
     precision = tp / (tp + fp)
     recall = tp / (tp + fn)
     return 2.0 * precision * recall / (precision + recall)
-
-
-def f1_score(y_true, y_pred, average: str = "binary") -> float:
-    """F1 for the positive class (index 1) by default, or the
-    unweighted mean of per-class F1 with ``average="macro"``."""
-    y_true = np.asarray(y_true)
-    y_pred = np.asarray(y_pred)
-    if y_true.shape != y_pred.shape or y_true.size == 0:
-        raise ValueError("labels must be non-empty and aligned")
-    if average == "binary":
-        return _binary_f1(y_true, y_pred, 1)
-    if average == "macro":
-        classes = np.unique(np.concatenate([y_true, y_pred]))
-        return float(np.mean([_binary_f1(y_true, y_pred, c)
-                              for c in classes]))
-    raise ValueError(f"unknown average {average!r}")
 
 
 def auc_score(y_true, scores) -> float:
@@ -83,12 +72,12 @@ def auc_score(y_true, scores) -> float:
                  / (n_pos * n_neg))
 
 
-def predict_proba(model: MultiTaskAE, x: np.ndarray,
-                  chunk: int = EVAL_CHUNK) -> np.ndarray:
-    """Softmax class probabilities in inference mode, chunked."""
+def predict_proba(model: MultiTaskAE, x: np.ndarray) -> np.ndarray:
+    """Softmax class probabilities in inference mode, in chunks of
+    ``EVAL_CHUNK`` trials."""
     out = []
-    for i in range(0, len(x), chunk):
-        z = model.encode(x[i:i + chunk], train=False)
+    for i in range(0, len(x), EVAL_CHUNK):
+        z = model.encode(x[i:i + EVAL_CHUNK], train=False)
         out.append(softmax(model.classify_logits(z, train=False)))
     return np.concatenate(out, axis=0)
 
@@ -190,13 +179,17 @@ def protocol_dims(ts: TrialSet, bank: FilterBank, u: int,
     before any filtering.
 
     ``latent=None`` means u * n_bands.  Raises ValueError when the labels
-    are not exactly {0, 1}, when the trials are too short to pad for the
+    are not exactly {0, 1}, when u exceeds the channel count (CSP keeps u
+    of n_channels filters), when the trials are too short to pad for the
     bank's filters, or when ``ModelDims`` rejects the shape (t must be a
     positive multiple of 100).
     """
     present = np.unique(ts.labels).tolist()
     if present != [0, 1]:
         raise ValueError(f"labels must be exactly {{0, 1}}, found {present}")
+    if u > ts.n_channels:
+        raise ValueError(
+            f"u={u} CSP filters per band exceed the {ts.n_channels} channels")
     padlen = max(d.padlen for d in bank.designs)
     if ts.n_samples <= padlen:
         raise ValueError(

@@ -45,10 +45,6 @@ class SpectralSpatialTransform:
                     f"({self.n_channels}, {self.u})"
                 )
 
-    @property
-    def n_tensor_channels(self):
-        return self.bank.n_bands * self.u
-
 
 @dataclass(frozen=True)
 class SpectralSpatialTensor:

@@ -41,21 +41,6 @@ class BandpassDesign:
     fs: float
     sos: np.ndarray
 
-    def response(self, freq_hz):
-        """Complex single-pass frequency response at ``freq_hz`` (scalar
-        or array), evaluated directly from the sections."""
-        w = 2.0 * np.pi * np.asarray(freq_hz, dtype=np.float64) / self.fs
-        z1 = np.exp(-1j * w)
-        z2 = z1 * z1
-        h = np.ones_like(z1, dtype=np.complex128)
-        for b0, b1, b2, _, a1, a2 in self.sos:
-            h = h * (b0 + b1 * z1 + b2 * z2) / (1.0 + a1 * z1 + a2 * z2)
-        return h
-
-    def gain(self, freq_hz):
-        """Zero-phase (two-pass) magnitude gain at ``freq_hz``."""
-        return np.abs(self.response(freq_hz)) ** 2
-
     @property
     def padlen(self):
         """Odd-extension length of zero-phase filtering: three times the

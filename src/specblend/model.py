@@ -187,9 +187,6 @@ class MultiTaskAE:
             z = layer.forward(z, train=train)
         return z
 
-    def classify(self, latent, train=False):
-        return nn.softmax(self.classify_logits(latent, train=train))
-
     def forward(self, x, train=True):
         """One shared encoder pass feeding both heads.
 

@@ -3,15 +3,23 @@ tensor layout.
 
 Only what the architecture table needs: time-axis convolution and its
 transpose, batch normalization, ELU, average pooling, dense, softmax.
-Every layer caches its forward activations and implements an exact
-reverse-mode backward; all math is float64 so finite-difference checks
-are meaningful.  The height dimension stays literal (always 1) to keep
-shapes aligned with the architecture table.
+Both convolutions are thin users of one correlation pair:
+``_correlate`` (same-padded strided im2col cross-correlation) and
+``_correlate_adjoint`` (its adjoint in the input), with
+``_kernel_grad`` for the kernel.  ``Conv`` runs the pair forward,
+``ConvTranspose`` runs it with the passes swapped.  Every layer caches
+its forward activations and implements an exact reverse-mode backward;
+all math is float64 so finite-difference checks are meaningful.  The
+height dimension stays literal (always 1) to keep shapes aligned with
+the architecture table.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+BN_EPS = 1e-3
+BN_MOMENTUM = 0.99
 
 
 def glorot_uniform(rng, shape, fan_in, fan_out):
@@ -19,10 +27,10 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
     return rng.uniform(-limit, limit, size=shape)
 
 
-def elu(x, alpha=1.0):
-    """y = x for x > 0, alpha*(e^x - 1) otherwise."""
+def elu(x):
+    """y = x for x > 0, e^x - 1 otherwise (alpha = 1)."""
     x = np.asarray(x, dtype=np.float64)
-    return np.where(x > 0, x, alpha * np.expm1(x))
+    return np.where(x > 0, x, np.expm1(x))
 
 
 def softmax(v):
@@ -43,22 +51,41 @@ def _same_pad(w_in, w_out, kernel_width, stride):
     return total, total // 2
 
 
-def _gather_columns(padded, w_out, kernel_width, stride):
-    """im2col: (B,1,Wp,C) -> (B*w_out, C*kernel_width)."""
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kernel_width, axis=2)
-    cols = windows[:, :, ::stride]  # (B, 1, w_out, C, kw) view
-    b = padded.shape[0]
-    return cols.reshape(b * w_out, padded.shape[3] * kernel_width)
+def _correlate(x, kernel, stride, w_out):
+    """Same-padded strided cross-correlation of ``x`` (B, 1, w_in, a) with
+    ``kernel`` (kw, a, c) along the width axis.
+
+    Returns the output as a (B*w_out, c) matrix and the im2col columns
+    (B*w_out, a*kw) that :func:`_kernel_grad` needs."""
+    b, _, w_in, a = x.shape
+    kw = kernel.shape[0]
+    total, left = _same_pad(w_in, w_out, kw, stride)
+    padded = np.zeros((b, 1, w_in + total, a))
+    padded[:, :, left : left + w_in, :] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=2)
+    cols = windows[:, :, ::stride].reshape(b * w_out, a * kw)  # from (B, 1, w_out, a, kw)
+    return cols @ kernel.transpose(1, 0, 2).reshape(a * kw, -1), cols
 
 
-def _scatter_columns(cols, b, w_padded, channels, w_out, kernel_width, stride):
-    """Adjoint of _gather_columns: accumulate window gradients back."""
-    out = np.zeros((b, 1, w_padded, channels))
-    cols = cols.reshape(b, 1, w_out, channels, kernel_width)
+def _correlate_adjoint(y_mat, kernel, stride, b, w_in):
+    """Adjoint of :func:`_correlate` in ``x``: maps a (B*w_out, c) matrix
+    back to (B, 1, w_in, a) by accumulating every window into place."""
+    kw, a, _ = kernel.shape
+    w_out = y_mat.shape[0] // b
+    total, left = _same_pad(w_in, w_out, kw, stride)
+    cols = y_mat @ kernel.transpose(1, 0, 2).reshape(a * kw, -1).T
+    cols = cols.reshape(b, 1, w_out, a, kw)
+    padded = np.zeros((b, 1, w_in + total, a))
     span = (w_out - 1) * stride + 1
-    for q in range(kernel_width):
-        out[:, :, q : q + span : stride, :] += cols[..., q]
-    return out
+    for q in range(kw):
+        padded[:, :, q : q + span : stride, :] += cols[..., q]
+    return padded[:, :, left : left + w_in, :]
+
+
+def _kernel_grad(cols, y_mat, shape):
+    """Gradient of :func:`_correlate` in its (kw, a, c) kernel."""
+    kw, a, c = shape
+    return (cols.T @ y_mat).reshape(a, kw, c).transpose(1, 0, 2)
 
 
 class Layer:
@@ -87,131 +114,95 @@ class Layer:
         raise NotImplementedError
 
 
-class Conv(Layer):
-    """Cross-correlation along the width axis, kernel height 1, same
-    padding.  Output width = ceil(width / stride)."""
+class _Correlation(Layer):
+    """Set-up shared by :class:`Conv` and :class:`ConvTranspose`: a glorot
+    kernel held (kw, a, c) for the correlation from a to c channels, and a
+    bias over the c_out output channels."""
+
+    transposed = False
 
     def __init__(self, c_in, c_out, kernel_width, stride=1, rng=None):
         super().__init__()
         self.c_in = c_in
         self.c_out = c_out
-        self.kernel_width = kernel_width
         self.stride = stride
-        fan_in = kernel_width * c_in
-        fan_out = kernel_width * c_out
+        a, c = (c_out, c_in) if self.transposed else (c_in, c_out)
         rng = rng or np.random.default_rng()
-        # stored (kw, c_in, c_out); flattened to (c_in*kw, c_out) for the GEMM
         self.params = {
-            "kernel": glorot_uniform(rng, (kernel_width, c_in, c_out), fan_in, fan_out),
+            "kernel": glorot_uniform(rng, (kernel_width, a, c),
+                                     kernel_width * c_in, kernel_width * c_out),
             "bias": np.zeros(c_out),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
-    def _kernel_matrix(self):
-        return self.params["kernel"].transpose(1, 0, 2).reshape(
-            self.c_in * self.kernel_width, self.c_out
-        )
-
-    def forward(self, x, train=True):
+    def _input(self, x):
         x = np.asarray(x, dtype=np.float64)
         _check_tensor4(x)
         if x.shape[3] != self.c_in:
             raise ValueError(f"input has {x.shape[3]} channels, layer expects {self.c_in}")
+        return x
+
+
+class Conv(_Correlation):
+    """Cross-correlation along the width axis, kernel height 1, same
+    padding.  Output width = ceil(width / stride).  The kernel is
+    (kw, c_in, c_out)."""
+
+    def forward(self, x, train=True):
+        x = self._input(x)
         b, _, w_in, _ = x.shape
         w_out = -(-w_in // self.stride)
-        total, left = _same_pad(w_in, w_out, self.kernel_width, self.stride)
-        padded = np.zeros((b, 1, w_in + total, self.c_in))
-        padded[:, :, left : left + w_in, :] = x
-        cols = _gather_columns(padded, w_out, self.kernel_width, self.stride)
-        y = cols @ self._kernel_matrix() + self.params["bias"]
+        y_mat, cols = _correlate(x, self.params["kernel"], self.stride, w_out)
         if train:
-            self._cache = (cols, b, w_in, total, left, w_out)
-        return y.reshape(b, 1, w_out, self.c_out)
+            self._cache = (cols, b, w_in)
+        return (y_mat + self.params["bias"]).reshape(b, 1, w_out, self.c_out)
 
     def backward(self, dy):
-        cols, b, w_in, total, left, w_out = self._take_cache()
-        dy_mat = np.asarray(dy, dtype=np.float64).reshape(b * w_out, self.c_out)
+        cols, b, w_in = self._take_cache()
+        kernel = self.params["kernel"]
+        dy_mat = np.asarray(dy, dtype=np.float64).reshape(-1, self.c_out)
         self.grads["bias"] += dy_mat.sum(axis=0)
-        dk_mat = cols.T @ dy_mat
-        self.grads["kernel"] += dk_mat.reshape(
-            self.c_in, self.kernel_width, self.c_out
-        ).transpose(1, 0, 2)
-        dcols = dy_mat @ self._kernel_matrix().T
-        dpadded = _scatter_columns(
-            dcols, b, w_in + total, self.c_in, w_out, self.kernel_width, self.stride
-        )
-        return dpadded[:, :, left : left + w_in, :]
+        self.grads["kernel"] += _kernel_grad(cols, dy_mat, kernel.shape)
+        return _correlate_adjoint(dy_mat, kernel, self.stride, b, w_in)
 
 
-class ConvTranspose(Layer):
+class ConvTranspose(_Correlation):
     """Transposed convolution: the exact adjoint of :class:`Conv` with
-    the same kernel, mapping width w to w * stride."""
+    the same kernel, mapping width w to w * stride.  The kernel is held
+    as that Conv holds it, (kw, c_out, c_in), and the correlation pair
+    runs with its passes swapped."""
 
-    def __init__(self, c_in, c_out, kernel_width, stride=1, rng=None):
-        super().__init__()
-        self.c_in = c_in
-        self.c_out = c_out
-        self.kernel_width = kernel_width
-        self.stride = stride
-        fan_in = kernel_width * c_in
-        fan_out = kernel_width * c_out
-        rng = rng or np.random.default_rng()
-        # kernel laid out as the matching forward conv would hold it:
-        # (kw, c_out, c_in) so adjoint-sharing needs no copy
-        self.params = {
-            "kernel": glorot_uniform(rng, (kernel_width, c_out, c_in), fan_in, fan_out),
-            "bias": np.zeros(c_out),
-        }
-        self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
-
-    def _kernel_matrix(self):
-        return self.params["kernel"].transpose(1, 0, 2).reshape(
-            self.c_out * self.kernel_width, self.c_in
-        )
+    transposed = True
 
     def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
-        _check_tensor4(x)
-        if x.shape[3] != self.c_in:
-            raise ValueError(f"input has {x.shape[3]} channels, layer expects {self.c_in}")
+        x = self._input(x)
         b, _, w_in, _ = x.shape
-        w_out = w_in * self.stride
-        total, left = _same_pad(w_out, w_in, self.kernel_width, self.stride)
         x_mat = x.reshape(b * w_in, self.c_in)
-        cols = x_mat @ self._kernel_matrix().T
-        padded = _scatter_columns(
-            cols, b, w_out + total, self.c_out, w_in, self.kernel_width, self.stride
-        )
-        y = padded[:, :, left : left + w_out, :] + self.params["bias"]
+        y = _correlate_adjoint(x_mat, self.params["kernel"], self.stride, b,
+                               w_in * self.stride)
         if train:
-            self._cache = (x_mat, b, w_in, w_out, total, left)
-        return y
+            self._cache = (x_mat, w_in)
+        return y + self.params["bias"]
 
     def backward(self, dy):
-        x_mat, b, w_in, w_out, total, left = self._take_cache()
+        x_mat, w_in = self._take_cache()
+        kernel = self.params["kernel"]
         dy = np.asarray(dy, dtype=np.float64)
         self.grads["bias"] += dy.sum(axis=(0, 1, 2))
-        dpadded = np.zeros((b, 1, w_out + total, self.c_out))
-        dpadded[:, :, left : left + w_out, :] = dy
-        dcols = _gather_columns(dpadded, w_in, self.kernel_width, self.stride)
-        dk_mat = dcols.T @ x_mat
-        self.grads["kernel"] += dk_mat.reshape(
-            self.c_out, self.kernel_width, self.c_in
-        ).transpose(1, 0, 2)
-        dx_mat = dcols @ self._kernel_matrix()
-        return dx_mat.reshape(b, 1, w_in, self.c_in)
+        dx_mat, dcols = _correlate(dy, kernel, self.stride, w_in)
+        self.grads["kernel"] += _kernel_grad(dcols, x_mat, kernel.shape)
+        return dx_mat.reshape(dy.shape[0], 1, w_in, self.c_in)
 
 
 class BatchNorm(Layer):
-    """Per-channel batch normalization, eps 1e-3, running-stat momentum
-    0.99.  Train mode normalizes by batch statistics (biased variance)
-    and requires batch size >= 2; infer mode uses the running stats."""
+    """Per-channel batch normalization, eps ``BN_EPS``, running-stat
+    momentum ``BN_MOMENTUM``.  Train mode normalizes by batch statistics
+    (biased variance) and requires batch size >= 2; infer mode uses the
+    running stats."""
 
-    def __init__(self, channels, eps=1e-3, momentum=0.99):
+    def __init__(self, channels):
         super().__init__()
         self.channels = channels
-        self.eps = eps
-        self.momentum = momentum
         self.params = {"gamma": np.ones(channels), "beta": np.zeros(channels)}
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self.running_mean = np.zeros(channels)
@@ -225,13 +216,13 @@ class BatchNorm(Layer):
                 raise ValueError("batch normalization needs batch >= 2 in train mode")
             mean = x.mean(axis=(0, 1, 2))
             var = x.var(axis=(0, 1, 2))
-            self.running_mean = self.momentum * self.running_mean + (1 - self.momentum) * mean
-            self.running_var = self.momentum * self.running_var + (1 - self.momentum) * var
-            inv_std = 1.0 / np.sqrt(var + self.eps)
+            self.running_mean = BN_MOMENTUM * self.running_mean + (1 - BN_MOMENTUM) * mean
+            self.running_var = BN_MOMENTUM * self.running_var + (1 - BN_MOMENTUM) * var
+            inv_std = 1.0 / np.sqrt(var + BN_EPS)
             xhat = (x - mean) * inv_std
             self._cache = (xhat, inv_std, x.shape)
             return self.params["gamma"] * xhat + self.params["beta"]
-        xhat = (x - self.running_mean) / np.sqrt(self.running_var + self.eps)
+        xhat = (x - self.running_mean) / np.sqrt(self.running_var + BN_EPS)
         return self.params["gamma"] * xhat + self.params["beta"]
 
     def backward(self, dy):
@@ -248,21 +239,17 @@ class BatchNorm(Layer):
 
 
 class Elu(Layer):
-    def __init__(self, alpha=1.0):
-        super().__init__()
-        self.alpha = alpha
-
     def forward(self, x, train=True):
         x = np.asarray(x, dtype=np.float64)
-        y = elu(x, self.alpha)
+        y = elu(x)
         if train:
             self._cache = (x > 0, y)
         return y
 
     def backward(self, dy):
         positive, y = self._take_cache()
-        # d/dx elu = 1 for x > 0, elu(x) + alpha below
-        return np.asarray(dy) * np.where(positive, 1.0, y + self.alpha)
+        # d/dx elu = 1 for x > 0, elu(x) + 1 below
+        return np.asarray(dy) * np.where(positive, 1.0, y + 1.0)
 
 
 class AvgPool(Layer):

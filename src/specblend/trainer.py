@@ -33,6 +33,9 @@ from .model import MultiTaskAE, mine_semi_hard_triplets
 from .nn import softmax
 
 MONITOR_CHOICES = ("total", "ce")
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass(frozen=True)
@@ -75,20 +78,21 @@ class TrainConfig:
             raise ValueError("margin must be positive")
         if self.warmup_epochs < 1:
             raise ValueError("warmup_epochs must be >= 1")
+        if not 2 <= self.blend_window <= 2 * self.warmup_epochs:
+            # the warm-up spans at most two checkpoints per epoch
+            raise ValueError(
+                f"blend_window must lie in [2, 2 * warmup_epochs="
+                f"{2 * self.warmup_epochs}], got {self.blend_window}")
         if self.monitor not in MONITOR_CHOICES:
             raise ValueError(f"monitor must be one of {MONITOR_CHOICES}")
 
 
 class Adam:
-    """Standard Adam over a named-parameter dict (beta1=0.9,
-    beta2=0.999, eps=1e-8).  Updates are applied in place so the model
-    sees them immediately."""
+    """Standard Adam over a named-parameter dict (``ADAM_BETA1``,
+    ``ADAM_BETA2``, ``ADAM_EPS``).  Updates are applied in place so the
+    model sees them immediately."""
 
-    def __init__(self, params: Dict[str, np.ndarray], beta1: float = 0.9,
-                 beta2: float = 0.999, eps: float = 1e-8):
-        self.beta1 = float(beta1)
-        self.beta2 = float(beta2)
-        self.eps = float(eps)
+    def __init__(self, params: Dict[str, np.ndarray]):
         self.t = 0
         self.m = {k: np.zeros_like(v) for k, v in params.items()}
         self.v = {k: np.zeros_like(v) for k, v in params.items()}
@@ -100,17 +104,17 @@ class Adam:
                 raise FloatingPointError(
                     f"non-finite gradient for parameter {name!r}")
         self.t += 1
-        b1c = 1.0 - self.beta1 ** self.t
-        b2c = 1.0 - self.beta2 ** self.t
+        b1c = 1.0 - ADAM_BETA1 ** self.t
+        b2c = 1.0 - ADAM_BETA2 ** self.t
         for name, p in params.items():
             g = grads[name]
             m = self.m[name]
             v = self.v[name]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
-            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + self.eps)
+            m *= ADAM_BETA1
+            m += (1.0 - ADAM_BETA1) * g
+            v *= ADAM_BETA2
+            v += (1.0 - ADAM_BETA2) * (g * g)
+            p -= lr * (m / b1c) / (np.sqrt(v / b2c) + ADAM_EPS)
 
 
 class PlateauController:

@@ -18,7 +18,7 @@ class TrialSet:
     ----------
     signals : ndarray, float32, shape (n_trials, n_channels, n_samples)
     labels : ndarray, int64, shape (n_trials,)
-        Class indices in ``0..n_classes-1`` with no gaps required.
+        Non-negative integer class indices.
     subject_ids : ndarray, int64, shape (n_trials,)
     session_ids : ndarray, int64, shape (n_trials,)
     fs : float
@@ -65,10 +65,6 @@ class TrialSet:
     @property
     def n_samples(self):
         return self.signals.shape[2]
-
-    @property
-    def n_classes(self):
-        return int(self.labels.max()) + 1
 
     def select(self, indices):
         """New TrialSet restricted to ``indices`` (order preserved)."""

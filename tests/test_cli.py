@@ -310,6 +310,23 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path)]) == 2
         assert match in capsys.readouterr().err
 
+    @pytest.mark.parametrize("section, key, value, match", [
+        ("fbcsp", "bands", [[8, 4]], "band edges"),
+        ("fbcsp", "order", 0, "order"),
+        ("fbcsp", "u", 10, "exceed the 6 channels"),
+        ("blend", "window", 1, "blend_window"),
+        ("blend", "window", 50, "blend_window"),
+    ])
+    def test_unrunnable_setting_exits_2(self, tmp_path, capsys, section,
+                                        key, value, match):
+        """Settings no fold can run with fail before any filtering."""
+        cfg_path, doc = mini_config(tmp_path)
+        doc[section][key] = value
+        cfg_path.write_text(json.dumps(doc))
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and match in err
+
 
 class TestReproducibility:
     def test_same_config_same_bytes(self, tmp_path):

@@ -13,6 +13,7 @@ from specblend.config import (
     parse_synth_doc,
 )
 from specblend.filterbank import DEFAULT_BANDS
+from specblend.trainer import TrainConfig
 
 
 class TestDefaults:
@@ -53,6 +54,13 @@ class TestDefaults:
         assert tc.margin == 2.5 and tc.latent == 12
         assert tc.warmup_epochs == 3
         assert tc.blend_window == 2 and tc.blend_exponent == 1.0
+
+    def test_defaults_agree_with_train_config(self):
+        """``from_dict`` repeats TrainConfig's defaults as literals; an
+        empty document must resolve to exactly those defaults."""
+        assert RunConfig.from_dict({}).train_config() == TrainConfig()
+        loso = RunConfig.from_dict({"protocol": {"kind": "subject_independent"}})
+        assert loso.train_config() == TrainConfig(batch_size=100)
 
 
 class TestStrictKeys:

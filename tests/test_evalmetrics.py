@@ -52,17 +52,6 @@ class TestF1:
     def test_no_true_positives_is_zero(self):
         assert f1_score([1, 1], [0, 0]) == 0.0
 
-    def test_macro_averages_both_classes(self):
-        y, yhat = [1, 1, 0, 0], [1, 0, 0, 0]
-        f1_pos = 2.0 / 3.0
-        f1_neg = 2 * 1.0 * (2 / 3) / (1.0 + 2 / 3)  # precision 2/3, recall 1
-        expect = (f1_pos + f1_neg) / 2.0
-        assert f1_score(y, yhat, average="macro") == pytest.approx(expect)
-
-    def test_unknown_average_rejected(self):
-        with pytest.raises(ValueError, match="average"):
-            f1_score([0, 1], [0, 1], average="micro")
-
 
 class TestAuc:
     def test_perfect_scores(self):
@@ -218,11 +207,13 @@ class TestRunProtocol:
         (dict(label_shift=1), "exactly"),
         (dict(duration=1.5), "multiple of 100"),
         (dict(duration=0.3), "too short"),
+        (dict(u=8), "exceed the 6 channels"),
     ])
     def test_unusable_inputs_rejected_before_filtering(self, monkeypatch,
                                                        change, match):
-        """Labels other than {0, 1}, t not a multiple of 100, and trials
-        too short to pad raise before the first transform fit."""
+        """Labels other than {0, 1}, more CSP filters than channels, t not
+        a multiple of 100, and trials too short to pad raise before the
+        first transform fit."""
         spec = SynthSpec(n_subjects=1, trials_per_class_per_session=6,
                          n_channels=6, fs=100.0,
                          duration=change.get("duration", 2.0), seed=5)
@@ -236,7 +227,8 @@ class TestRunProtocol:
 
         monkeypatch.setattr(evalmetrics, "fbcsp_fit", no_fit)
         with pytest.raises(ValueError, match=match):
-            run_protocol(ts, plan, mini_config(), bank=mini_bank())
+            run_protocol(ts, plan, mini_config(u=change.get("u", 4)),
+                         bank=mini_bank())
 
     def test_collect_receives_fold_results(self):
         ts = mini_dataset()

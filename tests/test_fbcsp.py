@@ -34,7 +34,7 @@ class TestFit:
         assert len(xf.per_band_filters) == 9
         for w in xf.per_band_filters:
             assert w.shape == (8, 4)
-        assert xf.n_tensor_channels == 36
+        assert transform_batch(xf, ts).shape == (ts.n_trials, 1, ts.n_samples, 36)
 
     def test_fs_mismatch_rejected(self):
         with pytest.raises(ValueError, match="fs"):

@@ -2,7 +2,7 @@
 
 The oracle route expands the designed second-order sections into full
 numerator/denominator polynomials and evaluates H(e^{jw}) with polyval,
-independent of the implementation's own response method.
+independent of the design code.
 """
 
 import numpy as np
@@ -70,15 +70,6 @@ class TestDesignBandpass:
         for lo, hi in ((0.0, 8.0), (12.0, 8.0), (8.0, 50.0), (-4.0, 8.0)):
             with pytest.raises(ValueError):
                 design_bandpass(lo, hi, 5, 100)
-
-    def test_response_matches_oracle(self):
-        d = design_bandpass(8, 12, 5, 100)
-        freqs = np.linspace(0.5, 49.5, 99)
-        np.testing.assert_allclose(
-            np.abs(d.response(freqs)),
-            [oracle_gain(d, f) for f in freqs],
-            rtol=1e-9, atol=1e-12,
-        )
 
 
 class TestZeroPhaseFilter:

@@ -11,6 +11,7 @@ from specblend.model import (
     TripletBatch,
     mine_semi_hard_triplets,
 )
+from specblend.nn import softmax
 
 TINY = ModelDims(t=100, u=2, n_bands=2, latent=6)
 
@@ -32,7 +33,7 @@ class TestShapes:
         assert z.shape == (3, 36)
         xhat = model.decode(z, train=False)
         assert xhat.shape == (3, 1, 400, 36)
-        assert model.classify(z).shape == (3, 2)
+        assert softmax(model.classify_logits(z, train=False)).shape == (3, 2)
 
     @pytest.mark.parametrize("u", [2, 4, 6, 8, 10])
     @pytest.mark.parametrize("latent", [8, 64])
@@ -93,12 +94,14 @@ class TestHeads:
         head = dict(model.classifier)["cls_fc"]
         head.params["weight"][...] = 0.0
         head.params["bias"][...] = 0.0
-        probs = model.classify(np.random.default_rng(10).standard_normal((4, 6)))
+        z = np.random.default_rng(10).standard_normal((4, 6))
+        probs = softmax(model.classify_logits(z, train=False))
         np.testing.assert_allclose(probs, 0.5, atol=1e-15)
 
     def test_probability_rows_sum_to_one(self):
         model = tiny_model(11)
-        probs = model.classify(np.random.default_rng(12).standard_normal((5, 6)))
+        z = np.random.default_rng(12).standard_normal((5, 6))
+        probs = softmax(model.classify_logits(z, train=False))
         np.testing.assert_allclose(probs.sum(axis=1), 1.0, atol=1e-12)
 
 

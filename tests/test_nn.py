@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specblend import nn
 from tests.support.oracles import central_diff, max_rel_err
@@ -88,21 +90,30 @@ class TestConvTranspose:
         x = np.random.default_rng(9).standard_normal((2, 1, 6, 3))
         np.testing.assert_allclose(layer.forward(x), x, atol=1e-15)
 
-    def test_adjoint_of_conv(self):
-        """<conv(x), y> == <x, conv_transpose(y)> with shared kernels."""
-        rng = np.random.default_rng(10)
-        for stride, kw in ((1, 3), (2, 4), (4, 6)):
-            conv = nn.Conv(3, 5, kw, stride=stride, rng=rng)
-            convt = nn.ConvTranspose(5, 3, kw, stride=stride, rng=rng)
-            convt.params["kernel"] = conv.params["kernel"]
-            conv.params["bias"][...] = 0.0
-            convt.params["bias"][...] = 0.0
-            w_small = 6
-            x = rng.standard_normal((2, 1, w_small * stride, 3))
-            y = rng.standard_normal((2, 1, w_small, 5))
-            lhs = float(np.sum(conv.forward(x) * y))
-            rhs = float(np.sum(x * convt.forward(y)))
-            assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+    @settings(max_examples=100, deadline=None)
+    @given(batch=st.integers(1, 3), width=st.integers(1, 8),
+           c_x=st.integers(1, 4), c_y=st.integers(1, 4),
+           kw=st.integers(1, 8), stride=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_adjoint_of_conv(self, batch, width, c_x, c_y, kw, stride, seed):
+        """<conv(x), y> == <x, conv_transpose(y)> with a shared kernel and
+        zero bias, and each layer's input gradient is exactly the other
+        layer's forward pass."""
+        rng = np.random.default_rng(seed)
+        conv = nn.Conv(c_x, c_y, kw, stride=stride, rng=rng)
+        convt = nn.ConvTranspose(c_y, c_x, kw, stride=stride, rng=rng)
+        convt.params["kernel"] = conv.params["kernel"]
+        conv.params["bias"][...] = 0.0
+        convt.params["bias"][...] = 0.0
+        x = rng.standard_normal((batch, 1, width * stride, c_x))
+        y = rng.standard_normal((batch, 1, width, c_y))
+        conv_x = conv.forward(x)
+        convt_y = convt.forward(y)
+        lhs = float(np.sum(conv_x * y))
+        rhs = float(np.sum(x * convt_y))
+        assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), abs(rhs), 1.0)
+        assert np.array_equal(convt.backward(x), conv_x)
+        assert np.array_equal(conv.backward(y), convt_y)
 
     @pytest.mark.parametrize("stride,kw", [(1, 3), (2, 4), (3, 5)])
     def test_gradients(self, stride, kw):

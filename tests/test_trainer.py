@@ -63,6 +63,8 @@ class TestTrainConfig:
         dict(margin=0.0),
         dict(warmup_epochs=0),
         dict(monitor="accuracy"),
+        dict(blend_window=1),
+        dict(warmup_epochs=2, blend_window=5),   # above 2 * warmup_epochs
     ])
     def test_rejects_bad_fields(self, kw):
         with pytest.raises(ValueError):

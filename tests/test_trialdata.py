@@ -66,7 +66,7 @@ class TestGenerateSynthetic:
         spec = SynthSpec()
         ts = generate_synthetic(spec)
         assert ts.signals.shape == (2 * 2 * 2 * 50, 8, 400)
-        assert ts.n_classes == 2
+        assert np.unique(ts.labels).tolist() == [0, 1]
         for s in range(2):
             for c in range(2):
                 mask = (ts.subject_ids == s) & (ts.labels == c)
