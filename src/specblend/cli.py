@@ -32,6 +32,7 @@ from .config import (
 from .evalmetrics import (
     EvalReport,
     _guard_fold,
+    check_epoch_plans,
     protocol_dims,
     run_fold,
     run_protocol,
@@ -49,10 +50,12 @@ def _prepare(cfg: RunConfig):
     ts = cfg.load_dataset()
     try:
         bank = cfg.make_bank(ts.fs)
-        dims = protocol_dims(ts, bank, cfg.u, cfg.latent)
+        dims = protocol_dims(ts, bank, cfg.train.u, cfg.train.latent)
+        plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k,
+                           cfg.train.seed)
+        check_epoch_plans(plan, cfg.train)
     except ValueError as exc:
         raise ConfigError(f"config cannot run on this dataset: {exc}") from exc
-    plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k, cfg.seed)
     return ts, bank, plan, dims
 
 
@@ -103,8 +106,7 @@ def cmd_train(args) -> int:
     chash = cfg.config_hash()
     ts, bank, plan, dims = _prepare(cfg)
     fold = _fold_or_die(plan, args.fold)
-    xf, result, row = run_fold(ts, fold, args.fold, cfg.train_config(),
-                               bank, dims)
+    xf, result, row = run_fold(ts, fold, args.fold, cfg.train, bank, dims)
 
     out = _outdir(cfg)
     save_transform(xf, out / f"transform_fold{args.fold}.json",
@@ -144,7 +146,7 @@ def cmd_eval(args) -> int:
         if tpath is None:
             tpath = Path(cfg.output_dir) / f"transform_fold{args.fold}.json"
         xf = load_transform(tpath)
-        _guard_fold(ts, fold, xf, bank, cfg.u)
+        _guard_fold(ts, fold, xf, bank, cfg.train.u)
         state, _meta = load_model_state(args.checkpoint)
         model = MultiTaskAE(dims)
         try:
@@ -153,11 +155,11 @@ def cmd_eval(args) -> int:
             raise ConfigError(
                 f"checkpoint {args.checkpoint} does not fit the config: "
                 f"{exc}") from exc
-        report = EvalReport(kind=plan.kind, k=plan.k, seed=cfg.seed,
+        report = EvalReport(kind=plan.kind, k=plan.k, seed=cfg.train.seed,
                             rows=[score_fold(model, xf, ts, fold)])
         stem = f"eval_fold{args.fold}"
     else:
-        report = run_protocol(ts, plan, cfg.train_config(), bank=bank)
+        report = run_protocol(ts, plan, cfg.train, bank=bank)
         stem = "eval_report"
 
     write_report_json(report, out / f"{stem}.json", config_hash=chash)
@@ -195,7 +197,7 @@ def _sweep_point(payload):
     index, doc = payload
     cfg = RunConfig.from_dict(doc)
     ts, bank, plan, _ = _prepare(cfg)
-    report = run_protocol(ts, plan, cfg.train_config(), bank=bank)
+    report = run_protocol(ts, plan, cfg.train, bank=bank)
     return index, cfg.config_hash(), report
 
 

@@ -7,17 +7,23 @@ Sections: ``data`` (either a dataset path or a synthetic-data spec),
 top-level ``seed`` and ``output_dir``.  Unknown keys anywhere are
 rejected rather than ignored, so typos cannot silently fall back to
 defaults.
+
+:class:`~specblend.trainer.TrainConfig` and
+:class:`~specblend.trialdata.SynthSpec` own the defaults and range checks
+of their settings.  This module only says where each of their fields
+sits in the document (``_TRAIN_FIELDS``, ``_SYNTH_KEYS``); the accepted
+keys, the resolved document and the hash are derived from that.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
 from .filterbank import DEFAULT_BANDS, DEFAULT_ORDER, make_filter_bank
-from .trainer import MONITOR_CHOICES, TrainConfig
+from .trainer import TrainConfig
 from .trialdata import (
     SPLIT_KINDS,
     SynthSpec,
@@ -31,29 +37,44 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to CLI exit code 2)."""
 
 
-_SYNTH_KEYS = {
-    "n_subjects", "n_sessions", "trials_per_class_per_session",
-    "n_channels", "fs", "duration", "class_freqs", "noise_std", "seed",
+# SynthSpec's mixing vectors are not settable from a document.
+_SYNTH_KEYS = tuple(f.name for f in fields(SynthSpec) if f.name != "mixing")
+
+# Document place (section, key) of every TrainConfig field; section None
+# is the top level.
+_TRAIN_FIELDS = {
+    (None, "seed"): "seed",
+    ("fbcsp", "u"): "u",
+    ("model", "latent"): "latent",
+    ("model", "margin"): "margin",
+    ("blend", "warmup_epochs"): "warmup_epochs",
+    ("blend", "window"): "blend_window",
+    ("blend", "exponent"): "blend_exponent",
+    **{("train", key): key for key in (
+        "lr_init", "lr_min", "lr_factor", "lr_patience",
+        "early_stop_patience", "batch_size", "max_epochs", "monitor")},
 }
-_DATA_KEYS = {"path", "synth"}
-_FBCSP_KEYS = {"u", "bands", "order"}
-_MODEL_KEYS = {"latent", "margin"}
-_BLEND_KEYS = {"warmup_epochs", "window", "exponent"}
-_TRAIN_KEYS = {
-    "lr_init", "lr_min", "lr_factor", "lr_patience",
-    "early_stop_patience", "batch_size", "max_epochs", "monitor",
-}
-_PROTOCOL_KEYS = {"kind", "k"}
-_TOP_KEYS = {"seed", "output_dir", "data", "fbcsp", "model", "blend",
-             "train", "protocol"}
+_TRAIN_SPECS = {f.name: f for f in fields(TrainConfig)}
+# JSON types accepted per annotation; floats also take JSON integers.
+_JSON_TYPES = {"int": int, "Optional[int]": int, "float": (int, float),
+               "str": str}
 
-DEFAULT_BATCH = {"subject_dependent": 32, "subject_independent": 100}
+_SECTIONS = {"data": {"path", "synth"}, "fbcsp": {"bands", "order"},
+             "model": set(), "blend": set(), "train": set(),
+             "protocol": {"kind", "k"}}
+# Accepted keys per section: its own plus the TrainConfig fields it holds.
+_KEYS = {section: own | {k for s, k in _TRAIN_FIELDS if s == section}
+         for section, own in [(None, {"output_dir", *_SECTIONS}),
+                              *_SECTIONS.items()]}
+
+# batch_size default for leave-one-subject-out; all others are TrainConfig's.
+_LOSO_BATCH_SIZE = 100
 
 
-def _check_keys(section: dict, allowed: set, where: str) -> None:
+def _check_keys(section: dict, allowed, where: str) -> None:
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be a JSON object")
-    unknown = sorted(set(section) - allowed)
+    unknown = sorted(set(section).difference(allowed))
     if unknown:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
@@ -84,64 +105,59 @@ def parse_synth_doc(doc: dict, where: str = "data.synth") -> SynthSpec:
 
 def synth_resolved(spec: SynthSpec) -> dict:
     """Canonical JSON form of a synthetic-data spec."""
-    return {
-        "n_subjects": spec.n_subjects,
-        "n_sessions": spec.n_sessions,
-        "trials_per_class_per_session": spec.trials_per_class_per_session,
-        "n_channels": spec.n_channels,
-        "fs": spec.fs,
-        "duration": spec.duration,
-        "class_freqs": list(spec.class_freqs),
-        "noise_std": spec.noise_std,
-        "seed": spec.seed,
-    }
+    doc = {key: getattr(spec, key) for key in _SYNTH_KEYS}
+    doc["class_freqs"] = list(spec.class_freqs)
+    return doc
+
+
+def _parse_train(sections: dict, protocol_kind: str) -> TrainConfig:
+    kwargs = {}
+    for (section, key), name in _TRAIN_FIELDS.items():
+        spec = _TRAIN_SPECS[name]
+        default = spec.default
+        if name == "batch_size" and protocol_kind == "subject_independent":
+            default = _LOSO_BATCH_SIZE
+        value = _get(sections[section], key, default, _JSON_TYPES[spec.type],
+                     section or "top level")
+        kwargs[name] = float(value) if spec.type == "float" else value
+    try:
+        return TrainConfig(**kwargs)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 @dataclass(frozen=True)
 class RunConfig:
-    seed: int
+    """A parsed document: data source, filter bank and protocol, plus the
+    :class:`TrainConfig` that every fold trains with (it carries the
+    top-level seed too)."""
+
     output_dir: str
     data_path: Optional[str]
     synth: Optional[SynthSpec]
-    u: int
     bands: Tuple[Tuple[float, float], ...]
     order: int
-    latent: Optional[int]
-    margin: float
-    warmup_epochs: int
-    window: int
-    exponent: float
-    lr_init: float
-    lr_min: float
-    lr_factor: float
-    lr_patience: int
-    early_stop_patience: int
-    batch_size: int
-    max_epochs: int
-    monitor: str
     protocol_kind: str
     protocol_k: int
+    train: TrainConfig
 
     @classmethod
     def from_dict(cls, doc: dict) -> "RunConfig":
-        _check_keys(doc, _TOP_KEYS, "top level")
-        seed = _get(doc, "seed", 0, int, "top level")
+        _check_keys(doc, _KEYS[None], "top level")
+        sections = {name: doc.get(name, {}) for name in _SECTIONS}
+        for name, section in sections.items():
+            _check_keys(section, _KEYS[name], name)
+        sections[None] = doc
         output_dir = _get(doc, "output_dir", "runs", str, "top level")
 
-        data = doc.get("data", {"synth": {}})
-        _check_keys(data, _DATA_KEYS, "data")
+        data = sections["data"]
         if "path" in data and "synth" in data:
             raise ConfigError("data takes either path or synth, not both")
-        data_path = None
-        synth = None
-        if "path" in data:
-            data_path = _get(data, "path", None, str, "data")
-        else:
-            synth = parse_synth_doc(data.get("synth", {}))
+        data_path = _get(data, "path", None, str, "data")
+        synth = (None if "path" in data
+                 else parse_synth_doc(data.get("synth", {})))
 
-        fbcsp = doc.get("fbcsp", {})
-        _check_keys(fbcsp, _FBCSP_KEYS, "fbcsp")
-        u = _get(fbcsp, "u", 4, int, "fbcsp")
+        fbcsp = sections["fbcsp"]
         order = _get(fbcsp, "order", DEFAULT_ORDER, int, "fbcsp")
         raw_bands = fbcsp.get("bands", [list(b) for b in DEFAULT_BANDS])
         if (not isinstance(raw_bands, (list, tuple)) or not raw_bands
@@ -150,85 +166,35 @@ class RunConfig:
             raise ConfigError("fbcsp.bands must be a list of [low, high]")
         bands = tuple((float(lo), float(hi)) for lo, hi in raw_bands)
 
-        model = doc.get("model", {})
-        _check_keys(model, _MODEL_KEYS, "model")
-        latent = _get(model, "latent", None, int, "model")
-        margin = float(_get(model, "margin", 5.0, (int, float), "model"))
-
-        blend = doc.get("blend", {})
-        _check_keys(blend, _BLEND_KEYS, "blend")
-        warmup_epochs = _get(blend, "warmup_epochs", 5, int, "blend")
-        window = _get(blend, "window", 3, int, "blend")
-        exponent = float(_get(blend, "exponent", 2.0, (int, float), "blend"))
-
-        protocol = doc.get("protocol", {})
-        _check_keys(protocol, _PROTOCOL_KEYS, "protocol")
+        protocol = sections["protocol"]
         protocol_kind = _get(protocol, "kind", "subject_dependent", str,
                              "protocol")
         if protocol_kind not in SPLIT_KINDS:
             raise ConfigError(
                 f"protocol.kind must be one of {sorted(SPLIT_KINDS)}")
         protocol_k = _get(protocol, "k", 5, int, "protocol")
+        if protocol_k < 2:
+            raise ConfigError(f"protocol.k must be >= 2, got {protocol_k}")
 
-        train = doc.get("train", {})
-        _check_keys(train, _TRAIN_KEYS, "train")
-        lr_init = float(_get(train, "lr_init", 1e-3, (int, float), "train"))
-        lr_min = float(_get(train, "lr_min", 1e-4, (int, float), "train"))
-        lr_factor = float(_get(train, "lr_factor", 0.5, (int, float),
-                               "train"))
-        lr_patience = _get(train, "lr_patience", 5, int, "train")
-        early_stop = _get(train, "early_stop_patience", 20, int, "train")
-        batch_size = _get(train, "batch_size",
-                          DEFAULT_BATCH[protocol_kind], int, "train")
-        max_epochs = _get(train, "max_epochs", 80, int, "train")
-        monitor = _get(train, "monitor", "total", str, "train")
-        if monitor not in MONITOR_CHOICES:
-            raise ConfigError(
-                f"train.monitor must be one of {MONITOR_CHOICES}")
-
-        cfg = cls(
-            seed=seed, output_dir=output_dir, data_path=data_path,
-            synth=synth, u=u, bands=bands, order=order, latent=latent,
-            margin=margin, warmup_epochs=warmup_epochs, window=window,
-            exponent=exponent, lr_init=lr_init, lr_min=lr_min,
-            lr_factor=lr_factor, lr_patience=lr_patience,
-            early_stop_patience=early_stop, batch_size=batch_size,
-            max_epochs=max_epochs, monitor=monitor,
-            protocol_kind=protocol_kind, protocol_k=protocol_k,
-        )
-        try:
-            cfg.train_config()
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-        return cfg
+        return cls(output_dir=output_dir, data_path=data_path, synth=synth,
+                   bands=bands, order=order, protocol_kind=protocol_kind,
+                   protocol_k=protocol_k,
+                   train=_parse_train(sections, protocol_kind))
 
     def resolved(self) -> dict:
         """Canonical fully-defaulted document (hash input)."""
-        if self.data_path is not None:
-            data = {"path": self.data_path}
-        else:
-            data = {"synth": synth_resolved(self.synth)}
-        return {
-            "seed": self.seed,
-            "output_dir": self.output_dir,
-            "data": data,
-            "fbcsp": {"u": self.u,
-                      "bands": [list(b) for b in self.bands],
+        data = ({"path": self.data_path} if self.data_path is not None
+                else {"synth": synth_resolved(self.synth)})
+        doc = {
+            "output_dir": self.output_dir, "data": data,
+            "fbcsp": {"bands": [list(b) for b in self.bands],
                       "order": self.order},
-            "model": {"latent": self.latent, "margin": self.margin},
-            "blend": {"warmup_epochs": self.warmup_epochs,
-                      "window": self.window,
-                      "exponent": self.exponent},
-            "train": {"lr_init": self.lr_init, "lr_min": self.lr_min,
-                      "lr_factor": self.lr_factor,
-                      "lr_patience": self.lr_patience,
-                      "early_stop_patience": self.early_stop_patience,
-                      "batch_size": self.batch_size,
-                      "max_epochs": self.max_epochs,
-                      "monitor": self.monitor},
-            "protocol": {"kind": self.protocol_kind,
-                         "k": self.protocol_k},
+            "model": {}, "blend": {}, "train": {},
+            "protocol": {"kind": self.protocol_kind, "k": self.protocol_k},
         }
+        for (section, key), name in _TRAIN_FIELDS.items():
+            (doc[section] if section else doc)[key] = getattr(self.train, name)
+        return doc
 
     def config_hash(self) -> str:
         """Hash of everything that determines the numbers.  The output
@@ -238,18 +204,6 @@ class RunConfig:
         doc.pop("output_dir")
         canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
-
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            lr_init=self.lr_init, lr_min=self.lr_min,
-            lr_factor=self.lr_factor, lr_patience=self.lr_patience,
-            early_stop_patience=self.early_stop_patience,
-            batch_size=self.batch_size, max_epochs=self.max_epochs,
-            margin=self.margin, u=self.u, latent=self.latent,
-            warmup_epochs=self.warmup_epochs, blend_window=self.window,
-            blend_exponent=self.exponent, monitor=self.monitor,
-            seed=self.seed,
-        )
 
     def make_bank(self, fs: float):
         return make_filter_bank(fs, bands=self.bands, order=self.order)

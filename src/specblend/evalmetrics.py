@@ -22,7 +22,7 @@ from .fbcsp import fbcsp_fit, fit_fingerprint, transform_batch
 from .filterbank import FilterBank, make_filter_bank
 from .model import ModelDims, MultiTaskAE
 from .nn import softmax
-from .trainer import EVAL_CHUNK, TrainConfig, TrainResult, train
+from .trainer import EVAL_CHUNK, TrainConfig, TrainResult, epoch_plan, train
 from .trialdata import SplitPlan, TrialSet
 
 
@@ -201,6 +201,18 @@ def protocol_dims(ts: TrialSet, bank: FilterBank, u: int,
                      latent=latent, n_classes=2)
 
 
+def check_epoch_plans(plan: SplitPlan, config: TrainConfig) -> None:
+    """Raise ValueError, before any filtering, when some fold's training
+    set admits no blend plan under ``config`` (see
+    :func:`~specblend.trainer.epoch_plan`)."""
+    for position, fold in enumerate(plan.folds):
+        try:
+            epoch_plan(len(fold.train), config)
+        except ValueError as exc:
+            raise ValueError(f"fold {position} ({len(fold.train)} training "
+                             f"trials): {exc}") from exc
+
+
 def score_fold(model: MultiTaskAE, xf, ts: TrialSet, fold) -> FoldMetrics:
     """Score a trained model on the test trials of ``fold``, through the
     fold's fitted transform ``xf``."""
@@ -242,11 +254,13 @@ def run_protocol(ts: TrialSet, plan: SplitPlan, config: TrainConfig,
 
     ``collect``, if given, receives the per-fold :class:`TrainResult`
     objects.  Inputs the protocol cannot run raise ValueError (see
-    :func:`protocol_dims`) before any fold is filtered.
+    :func:`protocol_dims` and :func:`check_epoch_plans`) before any fold
+    is filtered.
     """
     if bank is None:
         bank = make_filter_bank(ts.fs)
     dims = protocol_dims(ts, bank, config.u, config.latent)
+    check_epoch_plans(plan, config)
     report = EvalReport(kind=plan.kind, k=plan.k, seed=config.seed)
     for position, fold in enumerate(plan.folds):
         _, result, row = run_fold(ts, fold, position, config, bank, dims)

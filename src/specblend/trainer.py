@@ -211,6 +211,25 @@ def _batch_plan(n: int, batch_size: int) -> int:
     return steps
 
 
+def epoch_plan(n_train: int, config: TrainConfig,
+               ) -> Tuple[int, int, BlendState]:
+    """Steps per epoch, checkpoints per epoch and the initial blend state
+    for ``n_train`` training trials.
+
+    An epoch holds two checkpoints, or one when it has a single step, so
+    the warm-up spans ``warmup_epochs`` times that many checkpoints.
+    Raises ValueError when no blend plan fits, e.g. single-step epochs
+    with ``warmup_epochs=1``; it needs only the training-set size, so a
+    protocol can call it before any filtering.
+    """
+    steps = _batch_plan(n_train, config.batch_size)
+    cpe = 2 if steps >= 2 else 1
+    blend_state = BlendState(n_tasks=3, warmup=cpe * config.warmup_epochs,
+                             window=config.blend_window,
+                             exponent=config.blend_exponent)
+    return steps, cpe, blend_state
+
+
 EVAL_CHUNK = 50
 
 
@@ -263,16 +282,9 @@ def train(model: MultiTaskAE,
         rng = np.random.default_rng(config.seed)
 
     n_train = len(train_x)
-    steps_per_epoch = _batch_plan(n_train, config.batch_size)
-    cpe = 2 if steps_per_epoch >= 2 else 1
+    steps_per_epoch, cpe, blend_state = epoch_plan(n_train, config)
     mid_step = steps_per_epoch // 2 if cpe == 2 else steps_per_epoch
 
-    blend_state = BlendState(
-        n_tasks=3,
-        warmup=cpe * config.warmup_epochs,
-        window=config.blend_window,
-        exponent=config.blend_exponent,
-    )
     curves = LossCurves(3)
     log = TrainLog()
     adam = Adam(model.named_parameters())

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from specblend import cli
+from specblend import cli, evalmetrics
 from specblend.cli import build_parser, main
 from specblend.config import load_config
 from specblend.evalmetrics import run_protocol
@@ -174,9 +174,10 @@ class TestOneFoldPipeline:
 
         cfg = load_config(cfg_path)
         ts = cfg.load_dataset()
-        plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k, cfg.seed)
+        plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k,
+                           cfg.train.seed)
         collect = []
-        run_protocol(ts, plan, cfg.train_config(), bank=cfg.make_bank(ts.fs),
+        run_protocol(ts, plan, cfg.train, bank=cfg.make_bank(ts.fs),
                      collect=collect)
         write_train_log_csv(collect[1].log, tmp_path / "protocol_log.csv",
                             config_hash=cfg.config_hash())
@@ -316,6 +317,9 @@ class TestExitCodes:
         ("fbcsp", "u", 10, "exceed the 6 channels"),
         ("blend", "window", 1, "blend_window"),
         ("blend", "window", 50, "blend_window"),
+        ("protocol", "k", 50, "class 0 has only 12 pool trials"),
+        ("protocol", "k", 1, "protocol.k must be >= 2"),
+        ("protocol", "kind", "subject_independent", "at least two subjects"),
     ])
     def test_unrunnable_setting_exits_2(self, tmp_path, capsys, section,
                                         key, value, match):
@@ -326,6 +330,26 @@ class TestExitCodes:
         assert main(["train", "--config", str(cfg_path)]) == 2
         err = capsys.readouterr().err
         assert "config error" in err and match in err
+
+    @pytest.mark.parametrize("blend, match", [
+        ({"warmup_epochs": 1, "window": 2}, "warm-up must span >= 2"),
+        ({"warmup_epochs": 2, "window": 3}, "fit window 3 must lie in"),
+    ])
+    def test_single_step_epochs_that_cannot_warm_up_exit_2(
+            self, tmp_path, capsys, monkeypatch, blend, match):
+        """At batch 64 each 12-trial fold trains one step per epoch, so
+        one checkpoint per epoch; the blend plan fails before any fold
+        is filtered."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fbcsp_fit reached")
+
+        monkeypatch.setattr(evalmetrics, "fbcsp_fit", no_fit)
+        cfg_path, _ = mini_config(
+            tmp_path, blend=blend, train={"batch_size": 64, "max_epochs": 2})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "fold 0 (12 training trials)" in err
+        assert match in err
 
 
 class TestReproducibility:

@@ -15,52 +15,69 @@ from specblend.config import (
 from specblend.filterbank import DEFAULT_BANDS
 from specblend.trainer import TrainConfig
 
+# The miniature config of test_cli.py.
+MINI_CLI_DOC = {
+    "seed": 3,
+    "output_dir": "run",
+    "data": {"synth": {
+        "n_subjects": 1, "n_sessions": 2,
+        "trials_per_class_per_session": 12, "n_channels": 6,
+        "fs": 100.0, "duration": 2.0, "class_freqs": [10.0, 22.0],
+        "noise_std": 0.5, "seed": 5,
+    }},
+    "fbcsp": {"u": 4, "bands": [[4, 8], [8, 12], [20, 24]], "order": 5},
+    "model": {"margin": 1.0},
+    "blend": {"warmup_epochs": 1, "window": 2},
+    "train": {"batch_size": 8, "max_epochs": 2},
+    "protocol": {"kind": "subject_dependent", "k": 2},
+}
+
 
 class TestDefaults:
     def test_empty_document_resolves(self):
         cfg = RunConfig.from_dict({})
-        assert cfg.seed == 0
-        assert cfg.u == 4
-        assert cfg.margin == 5.0
-        assert cfg.latent is None
-        assert cfg.warmup_epochs == 5
-        assert cfg.window == 3
-        assert cfg.exponent == 2.0
+        assert cfg.train.seed == 0
+        assert cfg.train.u == 4
+        assert cfg.train.margin == 5.0
+        assert cfg.train.latent is None
+        assert cfg.train.warmup_epochs == 5
+        assert cfg.train.blend_window == 3
+        assert cfg.train.blend_exponent == 2.0
         assert cfg.bands == DEFAULT_BANDS
         assert cfg.protocol_kind == "subject_dependent"
         assert cfg.protocol_k == 5
-        assert cfg.batch_size == 32
-        assert cfg.max_epochs == 80
+        assert cfg.train.batch_size == 32
+        assert cfg.train.max_epochs == 80
         assert cfg.synth is not None and cfg.data_path is None
 
     def test_batch_default_follows_protocol(self):
         cfg = RunConfig.from_dict(
             {"protocol": {"kind": "subject_independent"}})
-        assert cfg.batch_size == 100
+        assert cfg.train.batch_size == 100
 
     def test_explicit_batch_wins(self):
         cfg = RunConfig.from_dict(
             {"protocol": {"kind": "subject_independent"},
              "train": {"batch_size": 16}})
-        assert cfg.batch_size == 16
+        assert cfg.train.batch_size == 16
 
     def test_train_config_mapping(self):
         cfg = RunConfig.from_dict(
             {"seed": 9, "model": {"margin": 2.5, "latent": 12},
              "blend": {"warmup_epochs": 3, "window": 2,
                        "exponent": 1.0}})
-        tc = cfg.train_config()
+        tc = cfg.train
         assert tc.seed == 9
         assert tc.margin == 2.5 and tc.latent == 12
         assert tc.warmup_epochs == 3
         assert tc.blend_window == 2 and tc.blend_exponent == 1.0
 
     def test_defaults_agree_with_train_config(self):
-        """``from_dict`` repeats TrainConfig's defaults as literals; an
-        empty document must resolve to exactly those defaults."""
-        assert RunConfig.from_dict({}).train_config() == TrainConfig()
+        """An empty document resolves to exactly TrainConfig's defaults;
+        only the batch size follows the protocol."""
+        assert RunConfig.from_dict({}).train == TrainConfig()
         loso = RunConfig.from_dict({"protocol": {"kind": "subject_independent"}})
-        assert loso.train_config() == TrainConfig(batch_size=100)
+        assert loso.train == TrainConfig(batch_size=100)
 
 
 class TestStrictKeys:
@@ -105,6 +122,12 @@ class TestStrictKeys:
         with pytest.raises(ConfigError):
             RunConfig.from_dict({"train": {"batch_size": 1}})
 
+    @pytest.mark.parametrize("k", [1, 0])
+    def test_protocol_k_below_two(self, k):
+        """k-fold needs two folds; that is known without any data."""
+        with pytest.raises(ConfigError, match="protocol.k must be >= 2"):
+            RunConfig.from_dict({"protocol": {"k": k}})
+
     def test_config_error_is_value_error(self):
         assert issubclass(ConfigError, ValueError)
 
@@ -137,6 +160,20 @@ class TestHash:
         b = RunConfig.from_dict({"fbcsp": {"u": 4}})
         assert a.config_hash() == b.config_hash()
 
+    @pytest.mark.parametrize("doc, expected", [
+        ({}, "cb8db3d3cbbabe91"),
+        ({"protocol": {"kind": "subject_independent"}}, "fa9706e60763ff8c"),
+        (MINI_CLI_DOC, "02a4781508e8f0d4"),
+        # JSON integers for float settings hash as floats.
+        ({"model": {"margin": 2, "latent": 12},
+          "blend": {"warmup_epochs": 3, "window": 2, "exponent": 1},
+          "train": {"lr_init": 1, "lr_min": 1}}, "9550437f7fcc7b1c"),
+    ])
+    def test_pinned_hashes(self, doc, expected):
+        """The canonical form is a contract: artifacts written by earlier
+        versions must keep matching their configs."""
+        assert RunConfig.from_dict(doc).config_hash() == expected
+
     def test_resolved_roundtrip(self):
         cfg = RunConfig.from_dict({"seed": 5, "model": {"latent": 10}})
         again = RunConfig.from_dict(cfg.resolved())
@@ -162,7 +199,7 @@ class TestParsing:
         p = tmp_path / "cfg.json"
         p.write_text(json.dumps({"seed": 3, "fbcsp": {"u": 2}}))
         cfg = load_config(p)
-        assert cfg.seed == 3 and cfg.u == 2
+        assert cfg.train.seed == 3 and cfg.train.u == 2
 
 
 class TestSynthDoc:

@@ -208,12 +208,16 @@ class TestRunProtocol:
         (dict(duration=1.5), "multiple of 100"),
         (dict(duration=0.3), "too short"),
         (dict(u=8), "exceed the 6 channels"),
+        (dict(batch_size=8), "warm-up must span >= 2 checkpoints"),
+        (dict(batch_size=8, warmup_epochs=2, blend_window=3),
+         "fit window 3 must lie in"),
     ])
     def test_unusable_inputs_rejected_before_filtering(self, monkeypatch,
                                                        change, match):
         """Labels other than {0, 1}, more CSP filters than channels, t not
-        a multiple of 100, and trials too short to pad raise before the
-        first transform fit."""
+        a multiple of 100, trials too short to pad, and a blend plan that
+        single-step epochs (6 training trials, batch 8) cannot warm up
+        raise before the first transform fit."""
         spec = SynthSpec(n_subjects=1, trials_per_class_per_session=6,
                          n_channels=6, fs=100.0,
                          duration=change.get("duration", 2.0), seed=5)
@@ -226,9 +230,10 @@ class TestRunProtocol:
             raise AssertionError("fbcsp_fit reached")
 
         monkeypatch.setattr(evalmetrics, "fbcsp_fit", no_fit)
+        train_kw = {k: v for k, v in change.items()
+                    if k not in ("label_shift", "duration")}
         with pytest.raises(ValueError, match=match):
-            run_protocol(ts, plan, mini_config(u=change.get("u", 4)),
-                         bank=mini_bank())
+            run_protocol(ts, plan, mini_config(**train_kw), bank=mini_bank())
 
     def test_collect_receives_fold_results(self):
         ts = mini_dataset()

@@ -12,6 +12,7 @@ from specblend.trainer import (
     PlateauController,
     TrainConfig,
     _batch_plan,
+    epoch_plan,
     load_model_state,
     save_model_state,
     train,
@@ -176,6 +177,27 @@ class TestBatchPlan:
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
             _batch_plan(1, 32)
+
+
+class TestEpochPlan:
+    @pytest.mark.parametrize("n, kw, steps, cpe, warmup", [
+        (80, dict(batch_size=32, warmup_epochs=2), 3, 2, 4),
+        (160, dict(batch_size=100), 2, 2, 10),
+        (6, dict(batch_size=8, warmup_epochs=2, blend_window=2), 1, 1, 2),
+    ])
+    def test_plans(self, n, kw, steps, cpe, warmup):
+        """Two checkpoints per epoch, one when an epoch is one step."""
+        got_steps, got_cpe, blend = epoch_plan(n, TrainConfig(**kw))
+        assert (got_steps, got_cpe, blend.warmup) == (steps, cpe, warmup)
+        assert blend.window == TrainConfig(**kw).blend_window
+
+    @pytest.mark.parametrize("kw, match", [
+        (dict(warmup_epochs=1, blend_window=2), "warm-up must span >= 2"),
+        (dict(warmup_epochs=2, blend_window=3), "fit window 3 must lie in"),
+    ])
+    def test_single_step_epochs_that_cannot_warm_up(self, kw, match):
+        with pytest.raises(ValueError, match=match):
+            epoch_plan(6, TrainConfig(batch_size=8, **kw))
 
 
 class TestTrainLoop:
