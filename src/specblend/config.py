@@ -153,9 +153,10 @@ class RunConfig:
         data = sections["data"]
         if "path" in data and "synth" in data:
             raise ConfigError("data takes either path or synth, not both")
-        data_path = _get(data, "path", None, str, "data")
-        synth = (None if "path" in data
-                 else parse_synth_doc(data.get("synth", {})))
+        if "path" in data:  # a null path is an invalid type, not "absent"
+            data_path, synth = _get(data, "path", "", str, "data"), None
+        else:
+            data_path, synth = None, parse_synth_doc(data.get("synth", {}))
 
         fbcsp = sections["fbcsp"]
         order = _get(fbcsp, "order", DEFAULT_ORDER, int, "fbcsp")

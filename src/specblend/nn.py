@@ -3,15 +3,15 @@ tensor layout.
 
 Only what the architecture table needs: time-axis convolution and its
 transpose, batch normalization, ELU, average pooling, dense, softmax.
-Both convolutions are thin users of one correlation pair:
-``_correlate`` (same-padded strided im2col cross-correlation) and
-``_correlate_adjoint`` (its adjoint in the input), with
-``_kernel_grad`` for the kernel.  ``Conv`` runs the pair forward,
-``ConvTranspose`` runs it with the passes swapped.  Every layer caches
-its forward activations and implements an exact reverse-mode backward;
-all math is float64 so finite-difference checks are meaningful.  The
-height dimension stays literal (always 1) to keep shapes aligned with
-the architecture table.
+Both convolutions are thin users of one correlation pair, a GEMM per
+kernel tap over every trial: ``_correlate`` (same-padded strided
+cross-correlation) and ``_correlate_adjoint`` (its adjoint in the
+input), with ``_kernel_grad`` for the kernel.  ``Conv`` runs the pair
+forward, ``ConvTranspose`` runs it with the passes swapped.  Every layer
+caches its forward activations and implements an exact reverse-mode
+backward; all math is float64 so finite-difference checks are
+meaningful.  The height dimension stays literal (always 1) to keep
+shapes aligned with the architecture table.
 """
 
 from __future__ import annotations
@@ -46,46 +46,61 @@ def _check_tensor4(x):
         raise ValueError(f"expected (batch, 1, width, channels), got {x.shape}")
 
 
-def _same_pad(w_in, w_out, kernel_width, stride):
-    total = max((w_out - 1) * stride + kernel_width - w_in, 0)
-    return total, total // 2
+def _geometry(b, w_in, w_out, kernel_width, stride):
+    """Geometry of the shift-and-GEMM.  The same-padded input is held flat
+    as (B*wp, a) rows, wp a multiple of the stride, so tap q of grid row
+    r = i*wp/stride + j (trial i, output j) is flat row q + r*stride: one
+    strided slice per tap over every trial.  Returns the left pad, wp and
+    the m grid rows a tap touches; grid rows past w_out in a trial are
+    computed and dropped."""
+    total = max((w_out - 1) * stride + kernel_width - w_in, 0)  # same padding
+    wp = -(-(w_in + total) // stride) * stride
+    return total // 2, wp, (b - 1) * (wp // stride) + w_out
+
+
+def _grid(y_mat, b, rows):
+    """(B*w_out, c) matrix -> (B*rows, c) output grid, zero between trials."""
+    c = y_mat.shape[1]
+    grid = np.zeros((b * rows, c))
+    grid.reshape(b, rows, c)[:, : y_mat.shape[0] // b] = y_mat.reshape(b, -1, c)
+    return grid
 
 
 def _correlate(x, kernel, stride, w_out):
     """Same-padded strided cross-correlation of ``x`` (B, 1, w_in, a) with
-    ``kernel`` (kw, a, c) along the width axis.
+    ``kernel`` (kw, a, c) along the width axis, one GEMM per tap.
 
-    Returns the output as a (B*w_out, c) matrix and the im2col columns
-    (B*w_out, a*kw) that :func:`_kernel_grad` needs."""
+    Returns the output as a (B*w_out, c) matrix and the flat padded input
+    with its geometry, which :func:`_kernel_grad` needs."""
     b, _, w_in, a = x.shape
-    kw = kernel.shape[0]
-    total, left = _same_pad(w_in, w_out, kw, stride)
-    padded = np.zeros((b, 1, w_in + total, a))
-    padded[:, :, left : left + w_in, :] = x
-    windows = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=2)
-    cols = windows[:, :, ::stride].reshape(b * w_out, a * kw)  # from (B, 1, w_out, a, kw)
-    return cols @ kernel.transpose(1, 0, 2).reshape(a * kw, -1), cols
+    left, wp, m = _geometry(b, w_in, w_out, kernel.shape[0], stride)
+    flat = np.zeros((b * wp, a))
+    flat.reshape(b, wp, a)[:, left : left + w_in] = x[:, 0]
+    grid = np.zeros((b * wp // stride, kernel.shape[2]))
+    for q, k in enumerate(kernel):
+        grid[:m] += flat[q : q + (m - 1) * stride + 1 : stride] @ k
+    y = grid.reshape(b, wp // stride, -1)[:, :w_out]
+    return y.reshape(b * w_out, -1), (flat, b, stride, m)
 
 
 def _correlate_adjoint(y_mat, kernel, stride, b, w_in):
     """Adjoint of :func:`_correlate` in ``x``: maps a (B*w_out, c) matrix
-    back to (B, 1, w_in, a) by accumulating every window into place."""
+    back to (B, 1, w_in, a) by accumulating every tap into place."""
     kw, a, _ = kernel.shape
-    w_out = y_mat.shape[0] // b
-    total, left = _same_pad(w_in, w_out, kw, stride)
-    cols = y_mat @ kernel.transpose(1, 0, 2).reshape(a * kw, -1).T
-    cols = cols.reshape(b, 1, w_out, a, kw)
-    padded = np.zeros((b, 1, w_in + total, a))
-    span = (w_out - 1) * stride + 1
-    for q in range(kw):
-        padded[:, :, q : q + span : stride, :] += cols[..., q]
-    return padded[:, :, left : left + w_in, :]
+    left, wp, m = _geometry(b, w_in, y_mat.shape[0] // b, kw, stride)
+    grid = _grid(y_mat, b, wp // stride)[:m]
+    flat = np.zeros((b * wp, a))
+    for q, k in enumerate(kernel):
+        flat[q : q + (m - 1) * stride + 1 : stride] += grid @ k.T
+    return flat.reshape(b, 1, wp, a)[:, :, left : left + w_in]
 
 
-def _kernel_grad(cols, y_mat, shape):
+def _kernel_grad(taps, y_mat, shape):
     """Gradient of :func:`_correlate` in its (kw, a, c) kernel."""
-    kw, a, c = shape
-    return (cols.T @ y_mat).reshape(a, kw, c).transpose(1, 0, 2)
+    flat, b, stride, m = taps
+    grid = _grid(y_mat, b, flat.shape[0] // (b * stride))[:m]
+    return np.stack([flat[q : q + (m - 1) * stride + 1 : stride].T @ grid
+                     for q in range(shape[0])])
 
 
 class Layer:
@@ -152,17 +167,17 @@ class Conv(_Correlation):
         x = self._input(x)
         b, _, w_in, _ = x.shape
         w_out = -(-w_in // self.stride)
-        y_mat, cols = _correlate(x, self.params["kernel"], self.stride, w_out)
+        y_mat, taps = _correlate(x, self.params["kernel"], self.stride, w_out)
         if train:
-            self._cache = (cols, b, w_in)
+            self._cache = (taps, b, w_in)
         return (y_mat + self.params["bias"]).reshape(b, 1, w_out, self.c_out)
 
     def backward(self, dy):
-        cols, b, w_in = self._take_cache()
+        taps, b, w_in = self._take_cache()
         kernel = self.params["kernel"]
         dy_mat = np.asarray(dy, dtype=np.float64).reshape(-1, self.c_out)
         self.grads["bias"] += dy_mat.sum(axis=0)
-        self.grads["kernel"] += _kernel_grad(cols, dy_mat, kernel.shape)
+        self.grads["kernel"] += _kernel_grad(taps, dy_mat, kernel.shape)
         return _correlate_adjoint(dy_mat, kernel, self.stride, b, w_in)
 
 
@@ -189,8 +204,8 @@ class ConvTranspose(_Correlation):
         kernel = self.params["kernel"]
         dy = np.asarray(dy, dtype=np.float64)
         self.grads["bias"] += dy.sum(axis=(0, 1, 2))
-        dx_mat, dcols = _correlate(dy, kernel, self.stride, w_in)
-        self.grads["kernel"] += _kernel_grad(dcols, x_mat, kernel.shape)
+        dx_mat, dy_taps = _correlate(dy, kernel, self.stride, w_in)
+        self.grads["kernel"] += _kernel_grad(dy_taps, x_mat, kernel.shape)
         return dx_mat.reshape(dy.shape[0], 1, w_in, self.c_in)
 
 

@@ -235,9 +235,9 @@ EVAL_CHUNK = 50
 
 def _task_losses(model: MultiTaskAE, x: np.ndarray, y_hot: np.ndarray,
                  margin: float) -> Tuple[float, float, float]:
-    """Full-set losses in inference mode, evaluated in fixed chunks to
-    bound the im2col working set.  Triplets are mined on the complete
-    latent set."""
+    """Full-set losses in inference mode, evaluated in fixed chunks of
+    ``EVAL_CHUNK`` trials to bound every layer's working set.  Triplets
+    are mined on the complete latent set."""
     n = len(x)
     zs = []
     mse_sum = 0.0

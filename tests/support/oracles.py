@@ -3,7 +3,8 @@
 Deliberately naive implementations: a cyclic Jacobi eigensolver to
 cross-check library eigendecompositions, central finite differences to
 check analytic gradients, direct polynomial evaluation of filter
-transfer functions, and a one-channel-at-a-time zero-phase filter bank.
+transfer functions, a one-channel-at-a-time zero-phase filter bank, and
+an im2col correlation trio for the width-axis convolutions.
 """
 
 from __future__ import annotations
@@ -138,3 +139,43 @@ def loop_bank(trials, bank):
             for c in range(n_ch):
                 out[i, b, c] = loop_zero_phase(trials[i, c], design)
     return out
+
+
+def _im2col_pad(w_in, w_out, kernel_width, stride):
+    total = max((w_out - 1) * stride + kernel_width - w_in, 0)
+    return total, total // 2
+
+
+def im2col_correlate(x, kernel, stride, w_out):
+    """Same-padded strided cross-correlation of ``x`` (B, 1, w_in, a) with
+    ``kernel`` (kw, a, c) as one GEMM over the (B*w_out, a*kw) im2col
+    columns.  Returns the (B*w_out, c) output and the columns."""
+    b, _, w_in, a = x.shape
+    kw = kernel.shape[0]
+    total, left = _im2col_pad(w_in, w_out, kw, stride)
+    padded = np.zeros((b, 1, w_in + total, a))
+    padded[:, :, left : left + w_in, :] = x
+    windows = np.lib.stride_tricks.sliding_window_view(padded, kw, axis=2)
+    cols = windows[:, :, ::stride].reshape(b * w_out, a * kw)  # from (B, 1, w_out, a, kw)
+    return cols @ kernel.transpose(1, 0, 2).reshape(a * kw, -1), cols
+
+
+def im2col_correlate_adjoint(y_mat, kernel, stride, b, w_in):
+    """Adjoint of :func:`im2col_correlate` in ``x``: (B*w_out, c) back to
+    (B, 1, w_in, a), scattering every window's columns into place."""
+    kw, a, _ = kernel.shape
+    w_out = y_mat.shape[0] // b
+    total, left = _im2col_pad(w_in, w_out, kw, stride)
+    cols = y_mat @ kernel.transpose(1, 0, 2).reshape(a * kw, -1).T
+    cols = cols.reshape(b, 1, w_out, a, kw)
+    padded = np.zeros((b, 1, w_in + total, a))
+    span = (w_out - 1) * stride + 1
+    for q in range(kw):
+        padded[:, :, q : q + span : stride, :] += cols[..., q]
+    return padded[:, :, left : left + w_in, :]
+
+
+def im2col_kernel_grad(cols, y_mat, shape):
+    """Gradient of :func:`im2col_correlate` in its (kw, a, c) kernel."""
+    kw, a, c = shape
+    return (cols.T @ y_mat).reshape(a, kw, c).transpose(1, 0, 2)

@@ -351,6 +351,12 @@ class TestExitCodes:
         assert "config error" in err and "fold 0 (12 training trials)" in err
         assert match in err
 
+    def test_null_data_path_exits_2(self, tmp_path, capsys):
+        cfg_path, _ = mini_config(tmp_path, data={"path": None})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "data.path" in err
+
 
 class TestReproducibility:
     def test_same_config_same_bytes(self, tmp_path):

@@ -100,6 +100,11 @@ class TestStrictKeys:
             RunConfig.from_dict(
                 {"data": {"path": "x.json", "synth": {}}})
 
+    def test_null_path_rejected(self):
+        """A null path names no dataset, and no synth spec either."""
+        with pytest.raises(ConfigError, match="data.path has invalid type"):
+            RunConfig.from_dict({"data": {"path": None}})
+
     def test_bad_protocol_kind(self):
         with pytest.raises(ConfigError, match="protocol.kind"):
             RunConfig.from_dict({"protocol": {"kind": "session_wise"}})

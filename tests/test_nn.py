@@ -6,7 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from specblend import nn
-from tests.support.oracles import central_diff, max_rel_err
+from tests.support.oracles import (central_diff, im2col_correlate,
+                                   im2col_correlate_adjoint,
+                                   im2col_kernel_grad, max_rel_err)
 
 FD_TOL = 1e-4
 FD_H = 1e-4
@@ -38,6 +40,52 @@ def fd_check_layer(layer, x, seed=0, train=True):
 
         num = central_diff(loss_of_param, original.copy(), FD_H)
         assert max_rel_err(layer.grads[name], num) <= FD_TOL, name
+
+
+def cached_bytes(layer):
+    """Bytes of the distinct buffers behind every array in a layer's
+    forward cache; a view counts as the whole array it views."""
+    buffers = {}
+    todo = [layer._cache]
+    while todo:
+        item = todo.pop()
+        if isinstance(item, tuple):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray):
+            while isinstance(item.base, np.ndarray):
+                item = item.base
+            buffers[id(item)] = item.nbytes
+    return sum(buffers.values())
+
+
+def assert_close_to(got, want, rtol=1e-12):
+    """Max difference within ``rtol`` of the oracle's largest magnitude."""
+    assert got.shape == want.shape
+    scale = np.max(np.abs(want), initial=0.0)
+    assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
+
+
+class TestCorrelationPair:
+    @settings(max_examples=200, deadline=None)
+    @given(batch=st.integers(1, 4), w_in=st.integers(1, 40),
+           a=st.integers(1, 4), c=st.integers(1, 4),
+           kw=st.integers(1, 8), stride=st.integers(1, 4),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_im2col_oracle(self, batch, w_in, a, c, kw, stride, seed):
+        """Output, kernel gradient and input gradient of the pair agree
+        with the im2col trio, widths not multiples of the stride included."""
+        rng = np.random.default_rng(seed)
+        w_out = -(-w_in // stride)
+        x = rng.standard_normal((batch, 1, w_in, a))
+        kernel = rng.standard_normal((kw, a, c))
+        dy = rng.standard_normal((batch * w_out, c))
+        y, taps = nn._correlate(x, kernel, stride, w_out)
+        y_ref, cols = im2col_correlate(x, kernel, stride, w_out)
+        assert_close_to(y, y_ref)
+        assert_close_to(nn._kernel_grad(taps, dy, kernel.shape),
+                        im2col_kernel_grad(cols, dy, kernel.shape))
+        assert_close_to(nn._correlate_adjoint(dy, kernel, stride, batch, w_in),
+                        im2col_correlate_adjoint(dy, kernel, stride, batch, w_in))
 
 
 class TestConv:
@@ -74,6 +122,15 @@ class TestConv:
         rng = np.random.default_rng(stride * 31 + kw)
         layer = nn.Conv(4, 3, kw, stride=stride, rng=rng)
         fd_check_layer(layer, rng.standard_normal((3, 1, width, 4)), seed=kw)
+
+    def test_cache_holds_no_columns(self):
+        """The training cache of the widest encoder convolution stays
+        within twice its same-padded input: no (B*w_out, a*kw) columns."""
+        rng = np.random.default_rng(10)
+        layer = nn.Conv(36, 36, 64, rng=rng)
+        layer.forward(rng.standard_normal((8, 1, 400, 36)), train=True)
+        padded_bytes = 8 * (400 + 63) * 36 * 8
+        assert cached_bytes(layer) <= 2 * padded_bytes
 
 
 class TestConvTranspose:
@@ -120,6 +177,15 @@ class TestConvTranspose:
         rng = np.random.default_rng(stride * 17 + kw)
         layer = nn.ConvTranspose(3, 4, kw, stride=stride, rng=rng)
         fd_check_layer(layer, rng.standard_normal((2, 1, 5, 3)), seed=stride)
+
+    def test_cache_holds_no_columns(self):
+        """The same bound for a strided transposed convolution, whose cache
+        holds only its input."""
+        rng = np.random.default_rng(11)
+        layer = nn.ConvTranspose(36, 36, 64, stride=4, rng=rng)
+        layer.forward(rng.standard_normal((8, 1, 400, 36)), train=True)
+        padded_bytes = 8 * (400 + 63) * 36 * 8
+        assert cached_bytes(layer) <= 2 * padded_bytes
 
 
 class TestBatchNorm:
