@@ -87,8 +87,13 @@ def mine_semi_hard_triplets(latents, labels, margin):
     For every ordered same-class pair (a, p) with a negative available:
     prefer a negative n with d(a,p) < d(a,n) < d(a,p) + margin (the
     closest such); failing that, the closest negative beyond d(a,p);
-    failing that, the hardest negative overall.  Distances are squared
-    Euclidean.  A single-class batch yields an empty set.
+    failing that, the hardest negative overall.  Ties go to the lowest
+    index.  Distances are squared Euclidean.  A single-class batch
+    yields an empty set.
+
+    Both preferences pick the same negative, the nearest one beyond
+    d(a,p), so each anchor sorts its negatives once and every positive
+    is one binary search.
 
     Returns
     -------
@@ -102,30 +107,23 @@ def mine_semi_hard_triplets(latents, labels, margin):
 
     anchors, positives, negatives = [], [], []
     for a in range(len(labels)):
-        neg_idx = np.where(labels != labels[a])[0]
+        same = labels == labels[a]
+        neg_idx = np.flatnonzero(~same)
         if len(neg_idx) == 0:
             continue  # no negative class sample for this anchor
-        d_neg = d[a, neg_idx]
-        for p in np.where(labels == labels[a])[0]:
-            if p == a:
-                continue
-            dp = d[a, p]
-            semi = neg_idx[(d_neg > dp) & (d_neg < dp + margin)]
-            if len(semi):
-                n = semi[np.argmin(d[a, semi])]
-            else:
-                beyond = neg_idx[d_neg > dp]
-                if len(beyond):
-                    n = beyond[np.argmin(d[a, beyond])]
-                else:
-                    n = neg_idx[np.argmin(d_neg)]
-            anchors.append(a)
-            positives.append(p)
-            negatives.append(int(n))
+        same[a] = False
+        pos_idx = np.flatnonzero(same)
+        # nearest first, lowest index first among equal distances
+        near = neg_idx[np.argsort(d[a, neg_idx], kind="stable")]
+        k = np.searchsorted(d[a, near], d[a, pos_idx], side="right")
+        anchors.append(np.full(len(pos_idx), a, dtype=np.int64))
+        positives.append(pos_idx)
+        negatives.append(near[np.where(k < len(near), k, 0)])
+    empty = [np.empty(0, dtype=np.int64)]
     return TripletBatch(
-        anchors=np.array(anchors, dtype=np.int64),
-        positives=np.array(positives, dtype=np.int64),
-        negatives=np.array(negatives, dtype=np.int64),
+        anchors=np.concatenate(anchors or empty),
+        positives=np.concatenate(positives or empty),
+        negatives=np.concatenate(negatives or empty),
         margin=float(margin),
     )
 
@@ -202,7 +200,10 @@ class MultiTaskAE:
 
         ``dz`` is the direct latent gradient (triplet path); decoder and
         classifier gradients flow back into the latent before the single
-        encoder backward pass.  Returns the input gradient.
+        encoder backward pass.  The first layer, ``enc_conv1``, gets only
+        its parameter gradients: its input gradient is the gradient in the
+        data, which nothing reads and which would cost about as much as
+        its kernel gradient.  Returns None.
         """
         dz = np.array(dz, dtype=np.float64, copy=True)
         g = np.asarray(dxhat, dtype=np.float64)
@@ -213,9 +214,10 @@ class MultiTaskAE:
         for _, layer in reversed(self.classifier):
             g = layer.backward(g)
         dz += g
-        for _, layer in reversed(self.encoder):
+        (_, first), *rest = self.encoder
+        for _, layer in reversed(rest):
             dz = layer.backward(dz)
-        return dz
+        first.backward_params(dz)
 
     def zero_grads(self):
         for _, layer in self._layers():

@@ -6,8 +6,13 @@ transpose, batch normalization, ELU, average pooling, dense, softmax.
 Both convolutions are thin users of one correlation pair, a GEMM per
 kernel tap over every trial: ``_correlate`` (same-padded strided
 cross-correlation) and ``_correlate_adjoint`` (its adjoint in the
-input), with ``_kernel_grad`` for the kernel.  ``Conv`` runs the pair
-forward, ``ConvTranspose`` runs it with the passes swapped.  Every layer
+input), with ``_kernel_grad`` for the kernel.  The padded input is held
+as ``stride`` contiguous phases, so each tap reads and writes one
+contiguous row block, and each tap's GEMM is one BLAS dgemm that
+accumulates straight into its output.  ``Conv`` runs the pair forward,
+``ConvTranspose`` runs it with the passes swapped; ``Conv.backward_params``
+is the backward without the input gradient, for a first layer whose
+input is data.  Every layer
 caches its forward activations and implements an exact reverse-mode
 backward; all math is float64 so finite-difference checks are
 meaningful.  The height dimension stays literal (always 1) to keep
@@ -17,6 +22,7 @@ shapes aligned with the architecture table.
 from __future__ import annotations
 
 import numpy as np
+from scipy.linalg.blas import dgemm
 
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
@@ -46,16 +52,64 @@ def _check_tensor4(x):
         raise ValueError(f"expected (batch, 1, width, channels), got {x.shape}")
 
 
+def _gemm_into(c, a, b, trans_a=0, trans_b=0):
+    """``c += op(a) @ op(b)`` by one BLAS dgemm that writes into ``c``.
+
+    ``c`` must be a writeable F-contiguous float64 array, such as the
+    ``.T`` of a C-contiguous row block: for any other target dgemm
+    accumulates into a copy and returns it, and the sum would be lost."""
+    if c.dtype != np.float64 or not (c.flags.f_contiguous and c.flags.writeable):
+        raise ValueError("GEMM target must be a writeable F-contiguous float64 array")
+    dgemm(1.0, a, b, 1.0, c, trans_a=trans_a, trans_b=trans_b, overwrite_c=1)
+
+
 def _geometry(b, w_in, w_out, kernel_width, stride):
-    """Geometry of the shift-and-GEMM.  The same-padded input is held flat
-    as (B*wp, a) rows, wp a multiple of the stride, so tap q of grid row
-    r = i*wp/stride + j (trial i, output j) is flat row q + r*stride: one
-    strided slice per tap over every trial.  Returns the left pad, wp and
-    the m grid rows a tap touches; grid rows past w_out in a trial are
-    computed and dropped."""
+    """Geometry of the shift-and-GEMM.  The same-padded input, wp wide
+    with wp a multiple of the stride, is held as ``stride`` phases of
+    (B*wp/stride, a) rows: padded sample p of trial i is row
+    i*wp/stride + p//stride of phase p % stride.  Tap q of grid row
+    r = i*wp/stride + j (trial i, output j) is then row q//stride + r of
+    phase q % stride, so a tap over every trial is one contiguous row
+    block.  Returns the left pad, wp and the m grid rows a tap touches;
+    grid rows past w_out in a trial are computed and dropped."""
     total = max((w_out - 1) * stride + kernel_width - w_in, 0)  # same padding
     wp = -(-(w_in + total) // stride) * stride
     return total // 2, wp, (b - 1) * (wp // stride) + w_out
+
+
+def _tap(phases, q, m):
+    """The m contiguous rows that kernel tap q meets, one per grid row."""
+    s = phases.shape[0]
+    return phases[q % s, q // s : q // s + m]
+
+
+def _phase_slices(left, w_in, stride):
+    """Where the w_in input samples sit in the phases: for each phase p,
+    the slice of its rows in each trial that hold samples, and the
+    strided slice of the samples they hold."""
+    for p in range(stride):
+        first = (p - left) % stride  # the first sample in phase p
+        n = len(range(first, w_in, stride))
+        row = (first + left) // stride
+        yield p, slice(row, row + n), slice(first, w_in, stride)
+
+
+def _to_phases(x, left, wp, stride):
+    """(B, 1, w_in, a) -> its same-padded (stride, B*wp/stride, a) phases."""
+    b, _, w_in, a = x.shape
+    phases = np.zeros((stride, b, wp // stride, a))
+    for p, rows, samples in _phase_slices(left, w_in, stride):
+        phases[p, :, rows] = x[:, 0, samples]
+    return phases.reshape(stride, -1, a)
+
+
+def _from_phases(phases, b, left, w_in):
+    """Inverse of :func:`_to_phases`: (B, 1, w_in, a) without the padding."""
+    stride, _, a = phases.shape
+    x = np.empty((b, 1, w_in, a))
+    for p, rows, samples in _phase_slices(left, w_in, stride):
+        x[:, 0, samples] = phases[p].reshape(b, -1, a)[:, rows]
+    return x
 
 
 def _grid(y_mat, b, rows):
@@ -70,17 +124,17 @@ def _correlate(x, kernel, stride, w_out):
     """Same-padded strided cross-correlation of ``x`` (B, 1, w_in, a) with
     ``kernel`` (kw, a, c) along the width axis, one GEMM per tap.
 
-    Returns the output as a (B*w_out, c) matrix and the flat padded input
-    with its geometry, which :func:`_kernel_grad` needs."""
+    Returns the output as a (B*w_out, c) matrix and the padded input
+    phases with their geometry, which :func:`_kernel_grad` needs."""
     b, _, w_in, a = x.shape
     left, wp, m = _geometry(b, w_in, w_out, kernel.shape[0], stride)
-    flat = np.zeros((b * wp, a))
-    flat.reshape(b, wp, a)[:, left : left + w_in] = x[:, 0]
+    phases = _to_phases(x, left, wp, stride)
     grid = np.zeros((b * wp // stride, kernel.shape[2]))
+    target = grid[:m].T
     for q, k in enumerate(kernel):
-        grid[:m] += flat[q : q + (m - 1) * stride + 1 : stride] @ k
+        _gemm_into(target, k.T, _tap(phases, q, m).T)
     y = grid.reshape(b, wp // stride, -1)[:, :w_out]
-    return y.reshape(b * w_out, -1), (flat, b, stride, m)
+    return y.reshape(b * w_out, -1), (phases, b, m)
 
 
 def _correlate_adjoint(y_mat, kernel, stride, b, w_in):
@@ -88,19 +142,21 @@ def _correlate_adjoint(y_mat, kernel, stride, b, w_in):
     back to (B, 1, w_in, a) by accumulating every tap into place."""
     kw, a, _ = kernel.shape
     left, wp, m = _geometry(b, w_in, y_mat.shape[0] // b, kw, stride)
-    grid = _grid(y_mat, b, wp // stride)[:m]
-    flat = np.zeros((b * wp, a))
+    grid_t = _grid(y_mat, b, wp // stride)[:m].T
+    phases = np.zeros((stride, b * wp // stride, a))
     for q, k in enumerate(kernel):
-        flat[q : q + (m - 1) * stride + 1 : stride] += grid @ k.T
-    return flat.reshape(b, 1, wp, a)[:, :, left : left + w_in]
+        _gemm_into(_tap(phases, q, m).T, k.T, grid_t, trans_a=1)
+    return _from_phases(phases, b, left, w_in)
 
 
 def _kernel_grad(taps, y_mat, shape):
     """Gradient of :func:`_correlate` in its (kw, a, c) kernel."""
-    flat, b, stride, m = taps
-    grid = _grid(y_mat, b, flat.shape[0] // (b * stride))[:m]
-    return np.stack([flat[q : q + (m - 1) * stride + 1 : stride].T @ grid
-                     for q in range(shape[0])])
+    phases, b, m = taps
+    grid_t = _grid(y_mat, b, phases.shape[1] // b)[:m].T
+    out = np.zeros(shape)
+    for q in range(shape[0]):
+        _gemm_into(out[q].T, grid_t, _tap(phases, q, m).T, trans_b=1)
+    return out
 
 
 class Layer:
@@ -173,12 +229,21 @@ class Conv(_Correlation):
         return (y_mat + self.params["bias"]).reshape(b, 1, w_out, self.c_out)
 
     def backward(self, dy):
+        dy_mat, b, w_in = self._param_grads(dy)
+        return _correlate_adjoint(dy_mat, self.params["kernel"], self.stride, b, w_in)
+
+    def backward_params(self, dy):
+        """The parameter half of :meth:`backward`: accumulate the kernel
+        and bias gradients and skip the input gradient, which costs about
+        as much again and is wasted on a layer whose input is data."""
+        self._param_grads(dy)
+
+    def _param_grads(self, dy):
         taps, b, w_in = self._take_cache()
-        kernel = self.params["kernel"]
         dy_mat = np.asarray(dy, dtype=np.float64).reshape(-1, self.c_out)
         self.grads["bias"] += dy_mat.sum(axis=0)
-        self.grads["kernel"] += _kernel_grad(taps, dy_mat, kernel.shape)
-        return _correlate_adjoint(dy_mat, kernel, self.stride, b, w_in)
+        self.grads["kernel"] += _kernel_grad(taps, dy_mat, self.params["kernel"].shape)
+        return dy_mat, b, w_in
 
 
 class ConvTranspose(_Correlation):
@@ -250,7 +315,15 @@ class BatchNorm(Layer):
         # batch statistics are functions of x; full backward
         sum_dxhat = dxhat.sum(axis=(0, 1, 2))
         sum_dxhat_xhat = (dxhat * xhat).sum(axis=(0, 1, 2))
-        return (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat)
+        # (inv_std / m) * (m * dxhat - sum_dxhat - xhat * sum_dxhat_xhat),
+        # in that order, built in dxhat's buffer and the cached xhat's
+        dx = dxhat
+        dx *= m
+        dx -= sum_dxhat
+        xhat *= sum_dxhat_xhat
+        dx -= xhat
+        dx *= inv_std / m
+        return dx
 
 
 class Elu(Layer):
@@ -264,7 +337,9 @@ class Elu(Layer):
     def backward(self, dy):
         positive, y = self._take_cache()
         # d/dx elu = 1 for x > 0, elu(x) + 1 below
-        return np.asarray(dy) * np.where(positive, 1.0, y + 1.0)
+        g = y + 1.0
+        g[positive] = 1.0
+        return np.multiply(dy, g, out=g)
 
 
 class AvgPool(Layer):

@@ -4,7 +4,8 @@ Deliberately naive implementations: a cyclic Jacobi eigensolver to
 cross-check library eigendecompositions, central finite differences to
 check analytic gradients, direct polynomial evaluation of filter
 transfer functions, a one-channel-at-a-time zero-phase filter bank, and
-an im2col correlation trio for the width-axis convolutions.
+an im2col correlation trio for the width-axis convolutions, and the
+pair-by-pair loop for semi-hard triplet mining.
 """
 
 from __future__ import annotations
@@ -179,3 +180,41 @@ def im2col_kernel_grad(cols, y_mat, shape):
     """Gradient of :func:`im2col_correlate` in its (kw, a, c) kernel."""
     kw, a, c = shape
     return (cols.T @ y_mat).reshape(a, kw, c).transpose(1, 0, 2)
+
+
+def loop_semi_hard_triplets(latents, labels, margin):
+    """Semi-hard mining one ordered (anchor, positive) pair at a time:
+    the closest negative inside (d(a,p), d(a,p) + margin), else the
+    closest beyond d(a,p), else the hardest overall, each the first
+    index among ties.  Returns the (anchors, positives, negatives) index
+    arrays."""
+    latents = np.asarray(latents, dtype=np.float64)
+    labels = np.asarray(labels)
+    sq = (latents**2).sum(axis=1)
+    d = sq[:, None] + sq[None, :] - 2.0 * latents @ latents.T
+    np.maximum(d, 0.0, out=d)
+
+    anchors, positives, negatives = [], [], []
+    for a in range(len(labels)):
+        neg_idx = np.where(labels != labels[a])[0]
+        if len(neg_idx) == 0:
+            continue
+        d_neg = d[a, neg_idx]
+        for p in np.where(labels == labels[a])[0]:
+            if p == a:
+                continue
+            dp = d[a, p]
+            semi = neg_idx[(d_neg > dp) & (d_neg < dp + margin)]
+            if len(semi):
+                n = semi[np.argmin(d[a, semi])]
+            else:
+                beyond = neg_idx[d_neg > dp]
+                if len(beyond):
+                    n = beyond[np.argmin(d[a, beyond])]
+                else:
+                    n = neg_idx[np.argmin(d_neg)]
+            anchors.append(a)
+            positives.append(p)
+            negatives.append(int(n))
+    return (np.array(anchors, dtype=np.int64), np.array(positives, dtype=np.int64),
+            np.array(negatives, dtype=np.int64))

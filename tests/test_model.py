@@ -1,5 +1,7 @@
 """Model shape chain, triplet mining, and state round trips."""
 
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,6 +14,7 @@ from specblend.model import (
     mine_semi_hard_triplets,
 )
 from specblend.nn import softmax
+from tests.support.oracles import loop_semi_hard_triplets
 
 TINY = ModelDims(t=100, u=2, n_bands=2, latent=6)
 
@@ -170,6 +173,32 @@ class TestMining:
             assert labels[a] != labels[n]
             assert a != p
 
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), size=st.integers(1, 24),
+           n_classes=st.integers(1, 3), dim=st.integers(1, 3),
+           margin=st.sampled_from([-1.0, 0.0, 0.5, 1.0, 4.0]))
+    def test_matches_the_pair_loop_with_ties(self, seed, size, n_classes,
+                                             dim, margin):
+        """Identical index arrays to the pair-by-pair loop, on small
+        integer latents where many distances tie."""
+        rng = np.random.default_rng(seed)
+        latents = rng.integers(-2, 3, size=(size, dim)).astype(float)
+        labels = rng.integers(0, n_classes, size=size)
+        got = mine_semi_hard_triplets(latents, labels, margin)
+        want = loop_semi_hard_triplets(latents, labels, margin)
+        for g, w in zip((got.anchors, got.positives, got.negatives), want):
+            assert g.dtype == np.int64
+            np.testing.assert_array_equal(g, w)
+
+    def test_matches_the_pair_loop_on_a_batch(self):
+        rng = np.random.default_rng(15)
+        latents = rng.standard_normal((100, 8))
+        labels = rng.integers(0, 2, size=100)
+        got = mine_semi_hard_triplets(latents, labels, 1.0)
+        want = loop_semi_hard_triplets(latents, labels, 1.0)
+        for g, w in zip((got.anchors, got.positives, got.negatives), want):
+            np.testing.assert_array_equal(g, w)
+
     def test_deterministic(self):
         rng = np.random.default_rng(14)
         latents = rng.standard_normal((10, 4))
@@ -215,6 +244,38 @@ class TestState:
                  if not k.startswith(drop)}
         with pytest.raises(ValueError, match=f"{drop}.* is missing"):
             tiny_model(23).load_state_dict(state)
+
+    def test_backward_skips_the_data_gradient(self):
+        """The same gradients as every layer's full backward, without ever
+        calling enc_conv1's input-gradient half; nothing is returned."""
+        model = tiny_model(24)
+        x = np.random.default_rng(25).standard_normal((3, 1, 100, 4))
+        ref = copy.deepcopy(model)
+        z, xhat, logits = model.forward(x, train=True)
+        ref.forward(x, train=True)
+        rng = np.random.default_rng(26)
+        dz, dxhat, dlogits = (rng.standard_normal(v.shape) for v in (z, xhat, logits))
+
+        g_z = dz.copy()
+        g = dxhat
+        for _, layer in reversed(ref.decoder):
+            g = layer.backward(g)
+        g_z += g
+        g = dlogits
+        for _, layer in reversed(ref.classifier):
+            g = layer.backward(g)
+        g_z += g
+        for _, layer in reversed(ref.encoder):
+            g_z = layer.backward(g_z)
+
+        def no_input_grad(dy):
+            raise AssertionError("enc_conv1.backward called")
+
+        dict(model.encoder)["enc_conv1"].backward = no_input_grad
+        assert model.backward(dz, dxhat, dlogits) is None
+        want = ref.named_grads()
+        for key, value in model.named_grads().items():
+            assert np.array_equal(value, want[key]), key
 
     def test_backward_accumulates_into_all_heads(self):
         model = tiny_model(18)

@@ -88,6 +88,35 @@ class TestCorrelationPair:
                         im2col_correlate_adjoint(dy, kernel, stride, batch, w_in))
 
 
+class TestGemmInto:
+    def test_accumulates_into_a_transposed_row_block(self):
+        rng = np.random.default_rng(12)
+        out = rng.standard_normal((6, 3))
+        x, k = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
+        want = out[1:5] + x @ k
+        nn._gemm_into(out[1:5].T, k.T, x.T)
+        np.testing.assert_allclose(out[1:5], want, rtol=1e-14)
+
+    @pytest.mark.parametrize("target", [
+        np.zeros((3, 4)),                           # C-contiguous
+        np.zeros((4, 3), dtype=np.float32).T,       # float32
+        np.zeros((4, 8))[:, ::2].T,                 # strided
+    ])
+    def test_rejects_a_target_dgemm_would_copy(self, target):
+        rng = np.random.default_rng(13)
+        with pytest.raises(ValueError, match="F-contiguous float64"):
+            nn._gemm_into(target, rng.standard_normal((3, 5)),
+                          rng.standard_normal((5, 4)))
+        assert not target.any()
+
+    def test_rejects_a_read_only_target(self):
+        target = np.zeros((4, 3)).T
+        target.flags.writeable = False
+        with pytest.raises(ValueError, match="writeable"):
+            nn._gemm_into(target, np.ones((3, 5)), np.ones((5, 4)))
+        assert not target.any()
+
+
 class TestConv:
     def test_table_shape_row(self):
         rng = np.random.default_rng(0)
@@ -122,6 +151,20 @@ class TestConv:
         rng = np.random.default_rng(stride * 31 + kw)
         layer = nn.Conv(4, 3, kw, stride=stride, rng=rng)
         fd_check_layer(layer, rng.standard_normal((3, 1, width, 4)), seed=kw)
+
+    def test_backward_params_matches_backward(self):
+        """The parameter half accumulates exactly the gradients of the full
+        backward and returns nothing."""
+        rng = np.random.default_rng(14)
+        full = nn.Conv(4, 3, 5, stride=2, rng=np.random.default_rng(15))
+        half = nn.Conv(4, 3, 5, stride=2, rng=np.random.default_rng(15))
+        x = rng.standard_normal((3, 1, 9, 4))
+        dy = rng.standard_normal(full.forward(x).shape)
+        half.forward(x)
+        full.backward(dy)
+        assert half.backward_params(dy) is None
+        for name in full.grads:
+            assert np.array_equal(half.grads[name], full.grads[name]), name
 
     def test_cache_holds_no_columns(self):
         """The training cache of the widest encoder convolution stays
@@ -227,6 +270,26 @@ class TestBatchNorm:
             layer.forward(x, train=True)
         assert np.all(layer.running_var >= 0.0)
 
+    def test_backward_in_place_keeps_dy_and_the_formula(self):
+        """The in-place backward leaves the caller's dy alone and is bit
+        for bit the closed-form batch-norm input gradient."""
+        rng = np.random.default_rng(15)
+        layer = nn.BatchNorm(3)
+        layer.params["gamma"][...] = rng.uniform(0.5, 1.5, 3)
+        x = rng.standard_normal((4, 1, 6, 3))
+        layer.forward(x, train=True)
+        dy = rng.standard_normal(x.shape)
+        dy_before = dy.copy()
+        dx = layer.backward(dy)
+        assert np.array_equal(dy, dy_before)
+        m = 4 * 6
+        inv_std = 1.0 / np.sqrt(x.var(axis=(0, 1, 2)) + nn.BN_EPS)
+        xhat = (x - x.mean(axis=(0, 1, 2))) * inv_std
+        dxhat = dy * layer.params["gamma"]
+        want = (inv_std / m) * (m * dxhat - dxhat.sum(axis=(0, 1, 2))
+                                - xhat * (dxhat * xhat).sum(axis=(0, 1, 2)))
+        assert np.array_equal(dx, want)
+
     @pytest.mark.parametrize("seed", [0, 1])
     def test_gradients_through_batch_stats(self, seed):
         rng = np.random.default_rng(20 + seed)
@@ -246,6 +309,17 @@ class TestElu:
         layer = nn.Elu()
         layer.forward(np.full((1, 1, 1, 1), 2.0))
         assert layer.backward(np.ones((1, 1, 1, 1)))[0, 0, 0, 0] == 1.0
+
+    def test_backward_keeps_dy(self):
+        rng = np.random.default_rng(31)
+        layer = nn.Elu()
+        x = rng.standard_normal((2, 1, 5, 3))
+        layer.forward(x)
+        dy = rng.standard_normal(x.shape)
+        dy_before = dy.copy()
+        dx = layer.backward(dy)
+        assert np.array_equal(dy, dy_before)
+        assert np.array_equal(dx, dy * np.where(x > 0, 1.0, nn.elu(x) + 1.0))
 
     def test_gradients(self):
         rng = np.random.default_rng(30)
