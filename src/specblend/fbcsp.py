@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import blobio
-from .csp import class_covariance, csp_apply, csp_fit
+from .csp import class_covariance, csp_fit
 from .filterbank import FilterBank, apply_bank, make_filter_bank
 
 
@@ -135,8 +135,11 @@ def fbcsp_transform(xf, trials):
             f"{xf.n_channels} channels"
         )
     banded = apply_bank(trials, xf.bank)  # (..., n_bands, n_ch, t)
-    rows = [csp_apply(w, banded[..., k, :, :]) for k, w in enumerate(xf.per_band_filters)]
-    stacked = np.concatenate(rows, axis=-2)  # (..., n_bands*u, t), band-major
+    u = xf.u
+    stacked = np.empty(trials.shape[:-2] + (xf.bank.n_bands * u, trials.shape[-1]))
+    for k, w in enumerate(xf.per_band_filters):  # band-major rows
+        np.matmul(w.T, banded[..., k, :, :], out=stacked[..., k * u : (k + 1) * u, :])
+    del banded
     values = np.ascontiguousarray(np.swapaxes(stacked, -1, -2))
     return SpectralSpatialTensor(values=values[..., np.newaxis, :, :])
 

@@ -202,8 +202,8 @@ class MultiTaskAE:
         classifier gradients flow back into the latent before the single
         encoder backward pass.  The first layer, ``enc_conv1``, gets only
         its parameter gradients: its input gradient is the gradient in the
-        data, which nothing reads and which would cost about as much as
-        its kernel gradient.  Returns None.
+        data, which nothing reads and which would cost a kernel spectrum,
+        a channel product and an irfft more.  Returns None.
         """
         dz = np.array(dz, dtype=np.float64, copy=True)
         g = np.asarray(dxhat, dtype=np.float64)

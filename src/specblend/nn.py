@@ -3,26 +3,27 @@ tensor layout.
 
 Only what the architecture table needs: time-axis convolution and its
 transpose, batch normalization, ELU, average pooling, dense, softmax.
-Both convolutions are thin users of one correlation pair, a GEMM per
-kernel tap over every trial: ``_correlate`` (same-padded strided
-cross-correlation) and ``_correlate_adjoint`` (its adjoint in the
-input), with ``_kernel_grad`` for the kernel.  The padded input is held
-as ``stride`` contiguous phases, so each tap reads and writes one
-contiguous row block, and each tap's GEMM is one BLAS dgemm that
-accumulates straight into its output.  ``Conv`` runs the pair forward,
-``ConvTranspose`` runs it with the passes swapped; ``Conv.backward_params``
-is the backward without the input gradient, for a first layer whose
-input is data.  Every layer
-caches its forward activations and implements an exact reverse-mode
-backward; all math is float64 so finite-difference checks are
-meaningful.  The height dimension stays literal (always 1) to keep
-shapes aligned with the architecture table.
+Both convolutions are thin users of one correlation pair computed in the
+frequency domain: ``_correlate`` (same-padded strided cross-correlation)
+and ``_correlate_adjoint`` (its adjoint in the input), with
+``_kernel_grad`` for the kernel.  Each is an ``scipy.fft`` rfft over the
+width, one small matrix product per frequency across the channels, and
+an irfft; the rfft is long enough that no tap wraps round, the same
+padding is folded into where the kernel sits, and the stride is
+decimation of the output or zero insertion into the input.  ``Conv``
+runs the pair forward, ``ConvTranspose`` runs it with the passes
+swapped; ``Conv.backward_params`` is the backward without the input
+gradient, for a first layer whose input is data.  Every layer caches
+its forward input or activations, never a spectrum, and implements an
+exact reverse-mode backward; all math is float64 so finite-difference
+checks are meaningful.  The height dimension stays literal (always 1)
+to keep shapes aligned with the architecture table.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.linalg.blas import dgemm
+from scipy import fft
 
 BN_EPS = 1e-3
 BN_MOMENTUM = 0.99
@@ -52,111 +53,72 @@ def _check_tensor4(x):
         raise ValueError(f"expected (batch, 1, width, channels), got {x.shape}")
 
 
-def _gemm_into(c, a, b, trans_a=0, trans_b=0):
-    """``c += op(a) @ op(b)`` by one BLAS dgemm that writes into ``c``.
-
-    ``c`` must be a writeable F-contiguous float64 array, such as the
-    ``.T`` of a C-contiguous row block: for any other target dgemm
-    accumulates into a copy and returns it, and the sum would be lost."""
-    if c.dtype != np.float64 or not (c.flags.f_contiguous and c.flags.writeable):
-        raise ValueError("GEMM target must be a writeable F-contiguous float64 array")
-    dgemm(1.0, a, b, 1.0, c, trans_a=trans_a, trans_b=trans_b, overwrite_c=1)
-
-
-def _geometry(b, w_in, w_out, kernel_width, stride):
-    """Geometry of the shift-and-GEMM.  The same-padded input, wp wide
-    with wp a multiple of the stride, is held as ``stride`` phases of
-    (B*wp/stride, a) rows: padded sample p of trial i is row
-    i*wp/stride + p//stride of phase p % stride.  Tap q of grid row
-    r = i*wp/stride + j (trial i, output j) is then row q//stride + r of
-    phase q % stride, so a tap over every trial is one contiguous row
-    block.  Returns the left pad, wp and the m grid rows a tap touches;
-    grid rows past w_out in a trial are computed and dropped."""
-    total = max((w_out - 1) * stride + kernel_width - w_in, 0)  # same padding
-    wp = -(-(w_in + total) // stride) * stride
-    return total // 2, wp, (b - 1) * (wp // stride) + w_out
+def _plan(w_in, kernel_width, stride):
+    """The rfft length of the correlation over w_in samples and its left
+    pad, the smaller half of same padding.  The length holds the kernel
+    and the input with its larger pad, so no tap wraps round onto an
+    input sample."""
+    total = max((-(-w_in // stride) - 1) * stride + kernel_width - w_in, 0)
+    n = max(w_in + total - total // 2, kernel_width)
+    return fft.next_fast_len(n, real=True), total // 2
 
 
-def _tap(phases, q, m):
-    """The m contiguous rows that kernel tap q meets, one per grid row."""
-    s = phases.shape[0]
-    return phases[q % s, q // s : q // s + m]
+def _rfft(x, n, stride=1):
+    """Spectrum (B, n//2+1, a) of the (B, w, a) rows of ``x`` set
+    ``stride`` samples apart, zeros between them."""
+    if stride > 1:
+        spread = np.zeros((x.shape[0], n, x.shape[2]))
+        spread[:, : (x.shape[1] - 1) * stride + 1 : stride] = x
+        x = spread
+    return fft.rfft(x, n, axis=1)
 
 
-def _phase_slices(left, w_in, stride):
-    """Where the w_in input samples sit in the phases: for each phase p,
-    the slice of its rows in each trial that hold samples, and the
-    strided slice of the samples they hold."""
-    for p in range(stride):
-        first = (p - left) % stride  # the first sample in phase p
-        n = len(range(first, w_in, stride))
-        row = (first + left) // stride
-        yield p, slice(row, row + n), slice(first, w_in, stride)
+def _irfft(spec, n, stride, width):
+    """Inverse of :func:`_rfft`: every ``stride``-th sample, ``width`` of them."""
+    return fft.irfft(spec, n, axis=1)[:, : (width - 1) * stride + 1 : stride]
 
 
-def _to_phases(x, left, wp, stride):
-    """(B, 1, w_in, a) -> its same-padded (stride, B*wp/stride, a) phases."""
-    b, _, w_in, a = x.shape
-    phases = np.zeros((stride, b, wp // stride, a))
-    for p, rows, samples in _phase_slices(left, w_in, stride):
-        phases[p, :, rows] = x[:, 0, samples]
-    return phases.reshape(stride, -1, a)
-
-
-def _from_phases(phases, b, left, w_in):
-    """Inverse of :func:`_to_phases`: (B, 1, w_in, a) without the padding."""
-    stride, _, a = phases.shape
-    x = np.empty((b, 1, w_in, a))
-    for p, rows, samples in _phase_slices(left, w_in, stride):
-        x[:, 0, samples] = phases[p].reshape(b, -1, a)[:, rows]
-    return x
-
-
-def _grid(y_mat, b, rows):
-    """(B*w_out, c) matrix -> (B*rows, c) output grid, zero between trials."""
-    c = y_mat.shape[1]
-    grid = np.zeros((b * rows, c))
-    grid.reshape(b, rows, c)[:, : y_mat.shape[0] // b] = y_mat.reshape(b, -1, c)
-    return grid
-
-
-def _correlate(x, kernel, stride, w_out):
-    """Same-padded strided cross-correlation of ``x`` (B, 1, w_in, a) with
-    ``kernel`` (kw, a, c) along the width axis, one GEMM per tap.
-
-    Returns the output as a (B*w_out, c) matrix and the padded input
-    phases with their geometry, which :func:`_kernel_grad` needs."""
-    b, _, w_in, a = x.shape
-    left, wp, m = _geometry(b, w_in, w_out, kernel.shape[0], stride)
-    phases = _to_phases(x, left, wp, stride)
-    grid = np.zeros((b * wp // stride, kernel.shape[2]))
-    target = grid[:m].T
-    for q, k in enumerate(kernel):
-        _gemm_into(target, k.T, _tap(phases, q, m).T)
-    y = grid.reshape(b, wp // stride, -1)[:, :w_out]
-    return y.reshape(b * w_out, -1), (phases, b, m)
-
-
-def _correlate_adjoint(y_mat, kernel, stride, b, w_in):
-    """Adjoint of :func:`_correlate` in ``x``: maps a (B*w_out, c) matrix
-    back to (B, 1, w_in, a) by accumulating every tap into place."""
-    kw, a, _ = kernel.shape
-    left, wp, m = _geometry(b, w_in, y_mat.shape[0] // b, kw, stride)
-    grid_t = _grid(y_mat, b, wp // stride)[:m].T
-    phases = np.zeros((stride, b * wp // stride, a))
-    for q, k in enumerate(kernel):
-        _gemm_into(_tap(phases, q, m).T, k.T, grid_t, trans_a=1)
-    return _from_phases(phases, b, left, w_in)
-
-
-def _kernel_grad(taps, y_mat, shape):
-    """Gradient of :func:`_correlate` in its (kw, a, c) kernel."""
-    phases, b, m = taps
-    grid_t = _grid(y_mat, b, phases.shape[1] // b)[:m].T
-    out = np.zeros(shape)
-    for q in range(shape[0]):
-        _gemm_into(out[q].T, grid_t, _tap(phases, q, m).T, trans_b=1)
+def _mix(spec, m):
+    """Per frequency, (B, a) rows times an (a, c) matrix: (B, f, c)."""
+    out = np.empty(spec.shape[:2] + m.shape[2:], dtype=np.complex128)
+    np.matmul(spec.transpose(1, 0, 2), m, out=out.transpose(1, 0, 2))
     return out
+
+
+def _kernel_spectrum(kernel, n, left):
+    """Conjugate spectrum (n//2+1, a, c) of the (kw, a, c) kernel with tap
+    q at sample (q - left) mod n, which puts the same padding into it."""
+    placed = np.zeros((n,) + kernel.shape[1:])
+    placed[: kernel.shape[0] - left] = kernel[left:]
+    placed[n - left :] = kernel[:left]
+    spec = fft.rfft(placed, axis=0)
+    return np.conjugate(spec, out=spec)
+
+
+def _correlate(x, kspec, n, stride, w_out):
+    """Same-padded strided cross-correlation of ``x`` (B, w_in, a) with
+    the kernel whose :func:`_kernel_spectrum` is ``kspec``, along the
+    width axis: (B, w_out, c)."""
+    return _irfft(_mix(_rfft(x, n), kspec), n, stride, w_out)
+
+
+def _correlate_adjoint(y, kspec, n, stride, w_in):
+    """Adjoint of :func:`_correlate` in ``x``: (B, w_out, c) back to
+    (B, w_in, a).  Its spectrum is conj(conj(Y) @ kspec^T), both
+    conjugates taken in place."""
+    spec = _rfft(y, n, stride)
+    spec = _mix(np.conjugate(spec, out=spec), kspec.transpose(0, 2, 1))
+    return _irfft(np.conjugate(spec, out=spec), n, 1, w_in)
+
+
+def _kernel_grad(x, y, n, left, stride, kernel_width):
+    """Gradient of :func:`_correlate` of ``x`` (B, w_in, a) in its
+    (kw, a, c) kernel, for the output gradient ``y`` (B, w_out, c)."""
+    ys = _rfft(y, n, stride)
+    grad = np.matmul(_rfft(x, n).transpose(1, 2, 0),
+                     np.conjugate(ys, out=ys).transpose(1, 0, 2))
+    del ys  # before the irfft, which would otherwise add to the peak
+    return fft.irfft(grad, n, axis=0)[(np.arange(kernel_width) - left) % n]
 
 
 class Layer:
@@ -187,8 +149,9 @@ class Layer:
 
 class _Correlation(Layer):
     """Set-up shared by :class:`Conv` and :class:`ConvTranspose`: a glorot
-    kernel held (kw, a, c) for the correlation from a to c channels, and a
-    bias over the c_out output channels."""
+    kernel held (kw, a, c) for the correlation from a to c channels, a
+    bias over the c_out output channels, and one memo of the kernel
+    spectrum for inference."""
 
     transposed = False
 
@@ -205,6 +168,7 @@ class _Correlation(Layer):
             "bias": np.zeros(c_out),
         }
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
+        self._memo = None
 
     def _input(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -212,6 +176,23 @@ class _Correlation(Layer):
         if x.shape[3] != self.c_in:
             raise ValueError(f"input has {x.shape[3]} channels, layer expects {self.c_in}")
         return x
+
+    def _plan(self, w_in):
+        return _plan(w_in, self.params["kernel"].shape[0], self.stride)
+
+    def _spectrum(self, n, left, train):
+        """The kernel spectrum.  Inference memoizes it against a copy of
+        the kernel, so in-place updates and reloads are seen; training
+        computes it fresh and drops the memo."""
+        kernel = self.params["kernel"]
+        memo, self._memo = self._memo, None
+        if train:
+            return _kernel_spectrum(kernel, n, left)
+        if memo is not None and memo[0] == (n, left) and np.array_equal(memo[1], kernel):
+            self._memo = memo
+        else:
+            self._memo = ((n, left), kernel.copy(), _kernel_spectrum(kernel, n, left))
+        return self._memo[2]
 
 
 class Conv(_Correlation):
@@ -223,14 +204,18 @@ class Conv(_Correlation):
         x = self._input(x)
         b, _, w_in, _ = x.shape
         w_out = -(-w_in // self.stride)
-        y_mat, taps = _correlate(x, self.params["kernel"], self.stride, w_out)
+        n, left = self._plan(w_in)
+        y = _correlate(x[:, 0], self._spectrum(n, left, train), n, self.stride, w_out)
         if train:
-            self._cache = (taps, b, w_in)
-        return (y_mat + self.params["bias"]).reshape(b, 1, w_out, self.c_out)
+            self._cache = x
+        return (y + self.params["bias"]).reshape(b, 1, w_out, self.c_out)
 
     def backward(self, dy):
-        dy_mat, b, w_in = self._param_grads(dy)
-        return _correlate_adjoint(dy_mat, self.params["kernel"], self.stride, b, w_in)
+        x, dy = self._param_grads(dy)
+        n, left = self._plan(x.shape[2])
+        kspec = _kernel_spectrum(self.params["kernel"], n, left)
+        dx = _correlate_adjoint(dy, kspec, n, self.stride, x.shape[2])
+        return dx[:, np.newaxis]
 
     def backward_params(self, dy):
         """The parameter half of :meth:`backward`: accumulate the kernel
@@ -239,11 +224,13 @@ class Conv(_Correlation):
         self._param_grads(dy)
 
     def _param_grads(self, dy):
-        taps, b, w_in = self._take_cache()
-        dy_mat = np.asarray(dy, dtype=np.float64).reshape(-1, self.c_out)
-        self.grads["bias"] += dy_mat.sum(axis=0)
-        self.grads["kernel"] += _kernel_grad(taps, dy_mat, self.params["kernel"].shape)
-        return dy_mat, b, w_in
+        x = self._take_cache()
+        dy = np.asarray(dy, dtype=np.float64)[:, 0]
+        n, left = self._plan(x.shape[2])
+        self.grads["bias"] += dy.sum(axis=(0, 1))
+        self.grads["kernel"] += _kernel_grad(x[:, 0], dy, n, left, self.stride,
+                                             self.params["kernel"].shape[0])
+        return x, dy
 
 
 class ConvTranspose(_Correlation):
@@ -256,22 +243,26 @@ class ConvTranspose(_Correlation):
 
     def forward(self, x, train=True):
         x = self._input(x)
-        b, _, w_in, _ = x.shape
-        x_mat = x.reshape(b * w_in, self.c_in)
-        y = _correlate_adjoint(x_mat, self.params["kernel"], self.stride, b,
-                               w_in * self.stride)
+        w_up = x.shape[2] * self.stride
+        n, left = self._plan(w_up)
+        y = _correlate_adjoint(x[:, 0], self._spectrum(n, left, train), n,
+                               self.stride, w_up)
         if train:
-            self._cache = (x_mat, w_in)
-        return y + self.params["bias"]
+            self._cache = x
+        return (y + self.params["bias"])[:, np.newaxis]
 
     def backward(self, dy):
-        x_mat, w_in = self._take_cache()
+        x = self._take_cache()
+        dy = np.asarray(dy, dtype=np.float64)[:, 0]
+        w_in = x.shape[2]
+        n, left = self._plan(dy.shape[1])
         kernel = self.params["kernel"]
-        dy = np.asarray(dy, dtype=np.float64)
-        self.grads["bias"] += dy.sum(axis=(0, 1, 2))
-        dx_mat, dy_taps = _correlate(dy, kernel, self.stride, w_in)
-        self.grads["kernel"] += _kernel_grad(dy_taps, x_mat, kernel.shape)
-        return dx_mat.reshape(dy.shape[0], 1, w_in, self.c_in)
+        self.grads["bias"] += dy.sum(axis=(0, 1))
+        # the kernel gradient first, so its spectra are freed before dx
+        self.grads["kernel"] += _kernel_grad(dy, x[:, 0], n, left, self.stride,
+                                             kernel.shape[0])
+        dx = _correlate(dy, _kernel_spectrum(kernel, n, left), n, self.stride, w_in)
+        return dx[:, np.newaxis]
 
 
 class BatchNorm(Layer):
@@ -331,14 +322,15 @@ class Elu(Layer):
         x = np.asarray(x, dtype=np.float64)
         y = elu(x)
         if train:
-            self._cache = (x > 0, y)
+            self._cache = y
         return y
 
     def backward(self, dy):
-        positive, y = self._take_cache()
-        # d/dx elu = 1 for x > 0, elu(x) + 1 below
+        y = self._take_cache()
+        # d/dx elu = 1 for x > 0, elu(x) + 1 below; elu(x) > 0 exactly
+        # when x > 0
         g = y + 1.0
-        g[positive] = 1.0
+        g[y > 0] = 1.0
         return np.multiply(dy, g, out=g)
 
 

@@ -220,6 +220,18 @@ class TestState:
             model.encode(x, train=False), other.encode(x, train=False)
         )
 
+    def test_load_state_dict_refreshes_the_kernel_spectra(self):
+        """An inference pass memoizes each convolution's kernel spectrum;
+        loading another state afterwards gives that state's outputs."""
+        model = tiny_model(30)
+        x = np.random.default_rng(31).standard_normal((2, 1, 100, 4))
+        model.forward(x, train=False)
+        other = tiny_model(32)
+        model.load_state_dict(other.state_dict())
+        for got, want in zip(model.forward(x, train=False),
+                             tiny_model(32).forward(x, train=False)):
+            assert np.array_equal(got, want)
+
     def test_unknown_state_key_rejected(self):
         model = tiny_model(17)
         with pytest.raises(KeyError, match="unknown"):

@@ -2,10 +2,11 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from specblend import nn
+from specblend.trainer import Adam
 from tests.support.oracles import (central_diff, im2col_correlate,
                                    im2col_correlate_adjoint,
                                    im2col_kernel_grad, max_rel_err)
@@ -65,12 +66,28 @@ def assert_close_to(got, want, rtol=1e-12):
     assert np.max(np.abs(got - want), initial=0.0) <= rtol * scale
 
 
+def model_shape(w_in, a, c, kw, stride):
+    """Hypothesis examples of one convolution shape at batch 1 and 32."""
+    def add(test):
+        for batch in (1, 32):
+            test = example(batch=batch, w_in=w_in, a=a, c=c, kw=kw,
+                           stride=stride, seed=w_in + kw + batch)(test)
+        return test
+    return add
+
+
 class TestCorrelationPair:
     @settings(max_examples=200, deadline=None)
     @given(batch=st.integers(1, 4), w_in=st.integers(1, 40),
            a=st.integers(1, 4), c=st.integers(1, 4),
            kw=st.integers(1, 8), stride=st.integers(1, 4),
            seed=st.integers(0, 2**32 - 1))
+    # the model's four convolutions, the transposed ones as the Conv
+    # they are the adjoint of: enc_conv1, enc_conv2, dec_convt1, dec_convt2
+    @model_shape(400, 36, 36, 64, 1)
+    @model_shape(100, 36, 18, 32, 1)
+    @model_shape(100, 18, 18, 64, 4)
+    @model_shape(400, 36, 18, 32, 4)
     def test_matches_im2col_oracle(self, batch, w_in, a, c, kw, stride, seed):
         """Output, kernel gradient and input gradient of the pair agree
         with the im2col trio, widths not multiples of the stride included."""
@@ -79,42 +96,83 @@ class TestCorrelationPair:
         x = rng.standard_normal((batch, 1, w_in, a))
         kernel = rng.standard_normal((kw, a, c))
         dy = rng.standard_normal((batch * w_out, c))
-        y, taps = nn._correlate(x, kernel, stride, w_out)
+        n, left = nn._plan(w_in, kw, stride)
+        kspec = nn._kernel_spectrum(kernel, n, left)
+        y = nn._correlate(x[:, 0], kspec, n, stride, w_out).reshape(-1, c)
         y_ref, cols = im2col_correlate(x, kernel, stride, w_out)
         assert_close_to(y, y_ref)
-        assert_close_to(nn._kernel_grad(taps, dy, kernel.shape),
+        dy_rows = dy.reshape(batch, w_out, c)
+        assert_close_to(nn._kernel_grad(x[:, 0], dy_rows, n, left, stride, kw),
                         im2col_kernel_grad(cols, dy, kernel.shape))
-        assert_close_to(nn._correlate_adjoint(dy, kernel, stride, batch, w_in),
-                        im2col_correlate_adjoint(dy, kernel, stride, batch, w_in))
+        assert_close_to(nn._correlate_adjoint(dy_rows, kspec, n, stride, w_in),
+                        im2col_correlate_adjoint(dy, kernel, stride, batch, w_in)[:, 0])
 
 
-class TestGemmInto:
-    def test_accumulates_into_a_transposed_row_block(self):
-        rng = np.random.default_rng(12)
-        out = rng.standard_normal((6, 3))
-        x, k = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
-        want = out[1:5] + x @ k
-        nn._gemm_into(out[1:5].T, k.T, x.T)
-        np.testing.assert_allclose(out[1:5], want, rtol=1e-14)
+class TestKernelSpectrumMemo:
+    """Inference memoizes the kernel spectrum; no way of changing the
+    kernel may leave the memo stale."""
 
-    @pytest.mark.parametrize("target", [
-        np.zeros((3, 4)),                           # C-contiguous
-        np.zeros((4, 3), dtype=np.float32).T,       # float32
-        np.zeros((4, 8))[:, ::2].T,                 # strided
-    ])
-    def test_rejects_a_target_dgemm_would_copy(self, target):
-        rng = np.random.default_rng(13)
-        with pytest.raises(ValueError, match="F-contiguous float64"):
-            nn._gemm_into(target, rng.standard_normal((3, 5)),
-                          rng.standard_normal((5, 4)))
-        assert not target.any()
+    @staticmethod
+    def _pair(cls):
+        args = (3, 4, 5) if cls is nn.Conv else (4, 3, 5)
+        layer = cls(*args, stride=2, rng=np.random.default_rng(80))
+        x = np.random.default_rng(81).standard_normal((2, 1, 9, layer.c_in))
+        return layer, x
 
-    def test_rejects_a_read_only_target(self):
-        target = np.zeros((4, 3)).T
-        target.flags.writeable = False
-        with pytest.raises(ValueError, match="writeable"):
-            nn._gemm_into(target, np.ones((3, 5)), np.ones((5, 4)))
-        assert not target.any()
+    @staticmethod
+    def _fresh_forward(layer, x):
+        fresh = type(layer)(layer.c_in, layer.c_out, layer.params["kernel"].shape[0],
+                            stride=layer.stride)
+        for name, value in layer.params.items():
+            fresh.params[name][...] = value
+        return fresh.forward(x, train=False)
+
+    @staticmethod
+    def _edit_in_place(layer):
+        layer.params["kernel"][...] = np.random.default_rng(90).standard_normal(
+            layer.params["kernel"].shape)
+
+    @staticmethod
+    def _adam_step(layer):
+        grads = {k: np.ones_like(v) for k, v in layer.params.items()}
+        Adam(layer.params).step(layer.params, grads, lr=0.1)
+
+    @staticmethod
+    def _reassign(layer):
+        layer.params["kernel"] = layer.params["kernel"] * -0.5
+
+    @pytest.mark.parametrize("cls", [nn.Conv, nn.ConvTranspose])
+    @pytest.mark.parametrize("change", ["_edit_in_place", "_adam_step", "_reassign"])
+    def test_a_changed_kernel_is_seen(self, cls, change):
+        layer, x = self._pair(cls)
+        layer.forward(x, train=False)
+        getattr(self, change)(layer)
+        assert np.array_equal(layer.forward(x, train=False),
+                              self._fresh_forward(layer, x))
+
+    @pytest.mark.parametrize("cls", [nn.Conv, nn.ConvTranspose])
+    def test_another_width_gets_its_own_spectrum(self, cls):
+        layer, x = self._pair(cls)
+        layer.forward(x, train=False)
+        narrow = x[:, :, :-3]
+        assert np.array_equal(layer.forward(narrow, train=False),
+                              self._fresh_forward(layer, narrow))
+
+    @pytest.mark.parametrize("cls", [nn.Conv, nn.ConvTranspose])
+    def test_reused_on_an_unchanged_kernel_and_dropped_by_training(self, cls,
+                                                                   monkeypatch):
+        layer, x = self._pair(cls)
+        calls = []
+        spectrum = nn._kernel_spectrum
+        monkeypatch.setattr(nn, "_kernel_spectrum",
+                            lambda *a: calls.append(1) or spectrum(*a))
+        first = layer.forward(x, train=False)
+        assert np.array_equal(layer.forward(x, train=False), first)
+        assert len(calls) == 1
+        layer.forward(x, train=True)
+        assert layer._memo is None and len(calls) == 2
+        layer.forward(x, train=False)
+        assert len(calls) == 3
 
 
 class TestConv:
