@@ -11,6 +11,7 @@ warm-up phase the weights stay uniform while references settle.
 
 from __future__ import annotations
 
+import bisect
 import csv
 from dataclasses import dataclass, field
 
@@ -83,11 +84,10 @@ def moving_average(values, window):
     """Trailing moving average; early points use however much history
     exists (no look-ahead)."""
     values = np.asarray(values, dtype=np.float64)
-    out = np.empty_like(values)
-    for i in range(len(values)):
-        lo = max(0, i - window + 1)
-        out[i] = values[i - (i - lo) : i + 1].mean()
-    return out
+    csum = np.concatenate(([0.0], np.cumsum(values)))
+    hi = np.arange(1, len(values) + 1)
+    lo = np.maximum(hi - window, 0)
+    return (csum[hi] - csum[lo]) / (hi - lo)
 
 
 def smoothed_tangent(values, indices, window):
@@ -145,11 +145,8 @@ class BlendState:
 
 
 def _points_upto(curve, n):
-    mask = [i for i, c in enumerate(curve.checkpoints) if c <= n]
-    idx = [curve.checkpoints[i] for i in mask]
-    tr = [curve.train[i] for i in mask]
-    va = [curve.val[i] for i in mask]
-    return idx, tr, va
+    k = bisect.bisect_right(curve.checkpoints, n)  # checkpoints increase
+    return curve.checkpoints[:k], curve.train[:k], curve.val[:k]
 
 
 def _current_tangents(curve, n, window):

@@ -194,7 +194,7 @@ def _parse_grid(specs) -> list:
 
 
 def _sweep_point(payload):
-    index, doc = payload
+    index, doc, _ = payload
     cfg = RunConfig.from_dict(doc)
     ts, bank, plan, _ = _prepare(cfg)
     report = run_protocol(ts, plan, cfg.train, bank=bank)
@@ -218,7 +218,7 @@ def cmd_sweep(args) -> int:
                 raise ConfigError(f"grid section {section!r} unknown")
             doc[section][key] = value
         RunConfig.from_dict(doc)      # validate before any work
-        points.append((len(points), doc))
+        points.append((len(points), doc, combo))
 
     workers = min(args.workers, len(points))
     if workers > 1:
@@ -229,12 +229,11 @@ def cmd_sweep(args) -> int:
 
     out = _outdir(cfg)
     names = [f"{s}.{k}" for s, k, _ in axes]
-    combos = list(itertools.product(*(vals for _, _, vals in axes)))
     lines = [f"# config_hash={base_hash}",
              "point," + ",".join(names)
              + ",accuracy_mean,accuracy_sd,f1_mean,f1_sd,auc_mean,auc_sd"
              + ",report"]
-    for (index, point_hash, report), combo in zip(results, combos):
+    for (index, point_hash, report), (_, _, combo) in zip(results, points):
         stem = f"report_point{index:03d}"
         write_report_json(report, out / f"{stem}.json",
                           config_hash=point_hash)

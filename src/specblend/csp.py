@@ -1,10 +1,10 @@
 """Common spatial patterns for two-class trials.
 
 Covariances are averaged per class with per-trial trace normalization,
-and the spatial filters solve the generalized eigenproblem of class one
-against the summed covariance via explicit whitening.  Filters at the
-two ends of the eigenvalue spectrum maximize variance for one class
-while minimizing it for the other.
+and the spatial filters solve the generalized eigenproblem
+``sigma1 w = lambda (sigma1 + sigma2) w`` (Blankertz et al., IEEE SPM
+2008).  Filters at the two ends of the eigenvalue spectrum maximize
+variance for one class while minimizing it for the other.
 """
 
 from __future__ import annotations
@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 _SYM_TOL = 1e-12
 _RIDGE_TRIGGER = 1e-10
@@ -54,7 +55,8 @@ def class_covariance(trials, class_label):
 
     Parameters
     ----------
-    trials : ndarray, shape (n, n_channels, t), or sequence of 2-d arrays
+    trials : ndarray, shape (n, n_channels, t), or sequence of same-shape
+        2-d arrays
     class_label : int
 
     Returns
@@ -64,23 +66,20 @@ def class_covariance(trials, class_label):
     Raises
     ------
     ValueError
-        If no trials are given or a trial is identically zero (its trace
-        cannot normalize).
+        If no trials are given, they do not stack to (n, n_channels, t),
+        or a trial is identically zero (its trace cannot normalize).
     """
-    trials = [np.asarray(tr, dtype=np.float64) for tr in trials]
-    if not trials:
+    trials = np.asarray(trials, dtype=np.float64)
+    if len(trials) == 0:
         raise ValueError(f"no trials for class {class_label}")
-    n_ch = trials[0].shape[0]
-    acc = np.zeros((n_ch, n_ch))
-    for i, tr in enumerate(trials):
-        if tr.ndim != 2 or tr.shape[0] != n_ch:
-            raise ValueError(f"trial {i} has shape {tr.shape}, expected ({n_ch}, t)")
-        cov = tr @ tr.T
-        trace = np.trace(cov)
-        if trace <= 0.0:
-            raise ValueError(f"trial {i} of class {class_label} has zero energy")
-        acc += cov / trace
-    sigma = acc / len(trials)
+    if trials.ndim != 3:
+        raise ValueError(f"trials have shape {trials.shape}, expected (n, n_channels, t)")
+    covs = trials @ trials.swapaxes(-1, -2)
+    traces = np.trace(covs, axis1=1, axis2=2)
+    silent = np.flatnonzero(traces <= 0.0)
+    if silent.size:
+        raise ValueError(f"trial {silent[0]} of class {class_label} has zero energy")
+    sigma = (covs / traces[:, None, None]).mean(axis=0)
     sigma = 0.5 * (sigma + sigma.T)  # kill rounding asymmetry
     return ClassCovariance(sigma=sigma, class_label=int(class_label), n_trials=len(trials))
 
@@ -98,13 +97,11 @@ class CspSolution:
         classes maps each value to 1 - value.
     w_selected : ndarray, shape (n_channels, u)
         First and last u/2 columns of ``w_full``.
-    u : int
     """
 
     w_full: np.ndarray
     eigvals: np.ndarray
     w_selected: np.ndarray
-    u: int
 
 
 def _as_sigma(cov):
@@ -114,11 +111,11 @@ def _as_sigma(cov):
 def csp_fit(cov1, cov2, u):
     """Solve for spatial filters separating two class covariances.
 
-    The composite C = sigma1 + sigma2 is whitened; eigenvectors of the
-    whitened sigma1 give filters W with W^T C W = I and
-    W^T sigma1 W = diag(lambda), lambda descending in [0, 1].  A tiny
-    ridge is added to C if it is near-singular.  Each filter's sign is
-    fixed so its largest-magnitude entry is positive.
+    Solves the generalized eigenproblem sigma1 W = C W diag(lambda) for
+    the composite C = sigma1 + sigma2, giving filters W with
+    W^T C W = I and W^T sigma1 W = diag(lambda), lambda descending in
+    [0, 1].  A tiny ridge is added to C if it is near-singular.  Each
+    filter's sign is fixed so its largest-magnitude entry is positive.
 
     Parameters
     ----------
@@ -143,19 +140,10 @@ def csp_fit(cov1, cov2, u):
         raise ValueError(f"u = {u} exceeds the {n_ch} available channels")
 
     comp = 0.5 * ((s1 + s2) + (s1 + s2).T)
-    evals, evecs = np.linalg.eigh(comp)
-    if evals.min() < _RIDGE_TRIGGER * np.trace(comp):
-        ridge = 1e-8 * np.trace(comp) / n_ch
-        comp = comp + ridge * np.eye(n_ch)
-        evals, evecs = np.linalg.eigh(comp)
-
-    whitener = evecs / np.sqrt(evals)  # columns scaled: P = V diag(1/sqrt(e))
-    inner = whitener.T @ s1 @ whitener
-    inner = 0.5 * (inner + inner.T)
-    lam, rot = np.linalg.eigh(inner)
-    order = np.argsort(lam)[::-1]
-    lam = lam[order]
-    w_full = whitener @ rot[:, order]
+    if np.linalg.eigvalsh(comp).min() < _RIDGE_TRIGGER * np.trace(comp):
+        comp = comp + 1e-8 * np.trace(comp) / n_ch * np.eye(n_ch)
+    lam, w_full = scipy.linalg.eigh(s1, comp)
+    lam, w_full = lam[::-1], w_full[:, ::-1]
 
     # Sign convention: largest-|entry| of each filter positive.
     peaks = np.argmax(np.abs(w_full), axis=0)
@@ -165,26 +153,4 @@ def csp_fit(cov1, cov2, u):
 
     half = u // 2
     w_selected = np.concatenate([w_full[:, :half], w_full[:, n_ch - half :]], axis=1)
-    return CspSolution(w_full=w_full, eigvals=lam, w_selected=w_selected, u=int(u))
-
-
-def csp_apply(w_selected, block):
-    """Project trial blocks through the selected filters.
-
-    Parameters
-    ----------
-    w_selected : ndarray, shape (n_channels, u)
-    block : ndarray, shape (..., n_channels, t)
-        One block or a stack of them.
-
-    Returns
-    -------
-    ndarray, shape (..., u, t)
-    """
-    w = np.asarray(w_selected, dtype=np.float64)
-    block = np.asarray(block, dtype=np.float64)
-    if block.ndim < 2 or block.shape[-2] != w.shape[0]:
-        raise ValueError(
-            f"block shape {block.shape} incompatible with filters {w.shape}"
-        )
-    return w.T @ block
+    return CspSolution(w_full=w_full, eigvals=lam, w_selected=w_selected)

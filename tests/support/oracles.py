@@ -4,8 +4,9 @@ Deliberately naive implementations: a cyclic Jacobi eigensolver to
 cross-check library eigendecompositions, central finite differences to
 check analytic gradients, direct polynomial evaluation of filter
 transfer functions, a one-channel-at-a-time zero-phase filter bank, and
-an im2col correlation trio for the width-axis convolutions, and the
-pair-by-pair loop for semi-hard triplet mining.
+an im2col correlation trio for the width-axis convolutions, the
+pair-by-pair loop for semi-hard triplet mining, a trial-by-trial class
+covariance and an index-by-index trailing moving average.
 """
 
 from __future__ import annotations
@@ -218,3 +219,26 @@ def loop_semi_hard_triplets(latents, labels, margin):
             negatives.append(int(n))
     return (np.array(anchors, dtype=np.int64), np.array(positives, dtype=np.int64),
             np.array(negatives, dtype=np.int64))
+
+
+def loop_class_covariance(trials):
+    """Mean of E E^T / tr(E E^T) accumulated one trial at a time, then
+    symmetrized; the class-covariance sigma before its checks."""
+    acc = None
+    for tr in trials:
+        tr = np.asarray(tr, dtype=np.float64)
+        cov = tr @ tr.T
+        term = cov / np.trace(cov)
+        acc = term if acc is None else acc + term
+    sigma = acc / len(trials)
+    return 0.5 * (sigma + sigma.T)
+
+
+def loop_moving_average(values, window):
+    """Trailing moving average one index at a time: the mean of the last
+    ``window`` values, or of all of them while fewer exist."""
+    values = np.asarray(values, dtype=np.float64)
+    out = np.empty_like(values)
+    for i in range(len(values)):
+        out[i] = values[max(0, i - window + 1) : i + 1].mean()
+    return out

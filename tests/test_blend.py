@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from specblend.blend import (
     BlendState,
@@ -18,6 +20,7 @@ from specblend.blend import (
     smoothed_tangent,
     update_weights,
 )
+from tests.support.oracles import loop_moving_average
 
 
 def linear_curves(n_tasks, slopes, n_points, offset=10.0):
@@ -60,6 +63,17 @@ class TestMovingAverage:
         idx = np.arange(1, 9, dtype=float)
         sm = moving_average(2.0 - 0.5 * idx, window=2)
         assert line_fit_slope(sm[-3:], idx[-3:]) == pytest.approx(-0.5, abs=1e-12)
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=st.lists(st.floats(0.5, 5.0), min_size=0, max_size=60),
+           window=st.integers(1, 6))
+    def test_property_matches_index_loop(self, values, window):
+        """The cumulative-sum windows equal the per-index means on
+        loss-like curves."""
+        np.testing.assert_allclose(
+            moving_average(values, window), loop_moving_average(values, window),
+            rtol=1e-12,
+        )
 
 
 class TestCurveRecording:
@@ -223,6 +237,28 @@ class TestUpdateWeights:
             raws.append(g / o**2)
             assert g == pytest.approx(0.5, abs=1e-12)
         assert raws[1] < raws[0]
+
+    def test_later_checkpoints_are_invisible(self):
+        """Updating at a middle checkpoint of a long curve gives the same
+        weights and references as updating on the curve cut there."""
+        rng = np.random.default_rng(2)
+        checkpoints = np.cumsum(rng.integers(1, 4, size=30))
+        full, cut = LossCurves(3), LossCurves(3)
+        mid = checkpoints[17]
+        for n in checkpoints:
+            for m in range(3):
+                pair = (1.0 / n + 0.1 * rng.standard_normal(),
+                        1.5 / n + 0.1 * rng.standard_normal())
+                record_checkpoint(full, m, n, *pair)
+                if n <= mid:
+                    record_checkpoint(cut, m, n, *pair)
+        on_full = BlendState(n_tasks=3, warmup=8, window=3)
+        on_cut = BlendState(n_tasks=3, warmup=8, window=3)
+        for n in checkpoints[checkpoints <= mid]:
+            np.testing.assert_array_equal(update_weights(on_full, full, n),
+                                          update_weights(on_cut, cut, n))
+            assert on_full.refs == on_cut.refs
+        assert not np.allclose(on_full.weights, 1.0 / 3.0)
 
     def test_window_must_fit_in_warmup(self):
         with pytest.raises(ValueError, match="window"):

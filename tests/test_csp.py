@@ -8,12 +8,12 @@ from hypothesis import strategies as st
 from specblend.csp import (
     ClassCovariance,
     class_covariance,
-    csp_apply,
     csp_fit,
 )
-from specblend.filterbank import design_bandpass, zero_phase_filter
-from specblend.trialdata import SynthSpec, generate_synthetic
-from tests.support.oracles import jacobi_eigh
+from specblend.fbcsp import fbcsp_fit
+from specblend.filterbank import apply_bank, design_bandpass, make_filter_bank, zero_phase_filter
+from specblend.trialdata import SynthSpec, TrialSet, generate_synthetic
+from tests.support.oracles import jacobi_eigh, loop_class_covariance
 
 
 def random_unit_trace_spd(rng, n):
@@ -53,9 +53,35 @@ class TestClassCovariance:
         with pytest.raises(ValueError, match="zero energy"):
             class_covariance([np.zeros((4, 10))], 0)
 
+    def test_zero_energy_names_the_first_silent_trial(self):
+        trials = np.random.default_rng(3).standard_normal((6, 4, 10))
+        trials[[2, 4]] = 0.0
+        with pytest.raises(ValueError, match="trial 2 of class 1 has zero energy"):
+            class_covariance(trials, 1)
+
     def test_empty_rejected(self):
         with pytest.raises(ValueError, match="no trials"):
             class_covariance([], 0)
+
+    def test_unstacked_shape_rejected(self):
+        with pytest.raises(ValueError, match="expected \\(n, n_channels, t\\)"):
+            class_covariance(np.ones((4, 10)), 0)
+        with pytest.raises(ValueError):
+            class_covariance([np.ones((4, 10)), np.ones((3, 10))], 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 20),
+           n_ch=st.integers(2, 12), t=st.integers(1, 80),
+           log_scale=st.floats(-6.0, 6.0))
+    def test_property_matches_trial_loop(self, seed, n, n_ch, t, log_scale):
+        """The batched product equals the one-trial-at-a-time loop on
+        random stacks of any scale."""
+        rng = np.random.default_rng(seed)
+        trials = 10.0**log_scale * rng.standard_normal((n, n_ch, t))
+        np.testing.assert_allclose(
+            class_covariance(trials, 0).sigma, loop_class_covariance(trials),
+            rtol=1e-12, atol=1e-15,
+        )
 
 
 class TestCspFit:
@@ -77,8 +103,9 @@ class TestCspFit:
         np.testing.assert_allclose(sol.eigvals, 0.5, atol=1e-10)
 
     def test_diagonalization_against_jacobi_oracle(self):
-        """The whitened-problem eigenvalues must match an independent
-        Jacobi eigensolver route on random 6x6 SPD pairs."""
+        """The generalized eigenvalues must match an independent route,
+        explicit whitening with a Jacobi eigensolver, on random 6x6 SPD
+        pairs."""
         rng = np.random.default_rng(4)
         for _ in range(20):
             s1 = random_unit_trace_spd(rng, 6)
@@ -155,33 +182,45 @@ class TestCspFit:
         np.testing.assert_allclose(sol_a.w_selected, sol_b.w_selected, atol=1e-9)
 
 
+class TestRidge:
+    """A channel that is zero in every trial makes the composite
+    singular; only the ridge keeps the generalized solver defined."""
+
+    @staticmethod
+    def assert_ridge_normalized(w, s1, s2):
+        comp = s1 + s2
+        ridged = comp + 1e-8 * np.trace(comp) / len(comp) * np.eye(len(comp))
+        assert np.all(np.isfinite(w))
+        np.testing.assert_allclose(w.T @ ridged @ w, np.eye(w.shape[1]), atol=1e-8)
+
+    def test_dead_channel_through_class_covariance(self):
+        rng = np.random.default_rng(14)
+        t0 = rng.standard_normal((10, 6, 60))
+        t1 = rng.standard_normal((10, 6, 60)) * np.linspace(0.5, 2.0, 6)[:, None]
+        t0[:, 3] = 0.0
+        t1[:, 3] = 0.0
+        c0, c1 = class_covariance(t0, 0), class_covariance(t1, 1)
+        sol = csp_fit(c0, c1, u=4)
+        self.assert_ridge_normalized(sol.w_full, c0.sigma, c1.sigma)
+        assert np.all(np.isfinite(sol.eigvals))
+
+    def test_dead_channel_through_fbcsp_fit(self):
+        ts = generate_synthetic(
+            SynthSpec(n_subjects=1, trials_per_class_per_session=8, duration=1.0, seed=15)
+        )
+        signals = ts.signals.copy()
+        signals[:, 5] = 0.0
+        ts = TrialSet(signals, ts.labels, ts.subject_ids, ts.session_ids, ts.fs)
+        bank = make_filter_bank(ts.fs)
+        xf = fbcsp_fit(ts, bank, u=4)
+        banded = apply_bank(ts.signals, bank)
+        for k, w in enumerate(xf.per_band_filters):
+            s0, s1 = (class_covariance(banded[ts.labels == c, k], c).sigma for c in (0, 1))
+            self.assert_ridge_normalized(w, s0, s1)
+
+
 class TestCspApply:
-    def test_identity_columns_select_rows(self):
-        w = np.eye(5)[:, [0, 3]]
-        block = np.random.default_rng(10).standard_normal((5, 20))
-        np.testing.assert_array_equal(csp_apply(w, block), block[[0, 3]])
-
-    def test_zero_trial(self):
-        w = np.random.default_rng(11).standard_normal((4, 2))
-        assert np.all(csp_apply(w, np.zeros((4, 9))) == 0.0)
-
-    def test_stacked_blocks_project_one_by_one(self):
-        rng = np.random.default_rng(12)
-        w = rng.standard_normal((5, 2))
-        stack = rng.standard_normal((3, 4, 5, 20))
-        out = csp_apply(w, stack)
-        assert out.shape == (3, 4, 2, 20)
-        for i in range(3):
-            for j in range(4):
-                assert np.array_equal(out[i, j], csp_apply(w, stack[i, j]))
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(ValueError, match="incompatible"):
-            csp_apply(np.zeros((4, 2)), np.zeros((5, 9)))
-        with pytest.raises(ValueError, match="incompatible"):
-            csp_apply(np.zeros((4, 2)), np.zeros((3, 5, 9)))
-        with pytest.raises(ValueError, match="incompatible"):
-            csp_apply(np.zeros((4, 2)), np.zeros(4))
+    """Fitted filters applied to held-out trials."""
 
     def test_heldout_variance_ordering(self):
         """Fit on session 0, project session 1: the first component's
@@ -203,11 +242,11 @@ class TestCspApply:
 
         held = ts.session_ids == 1
         var0 = [
-            csp_apply(sol.w_selected, b)[0].var()
+            (sol.w_selected.T @ b)[0].var()
             for b in banded(np.where(held & (ts.labels == 0))[0])
         ]
         var1 = [
-            csp_apply(sol.w_selected, b)[0].var()
+            (sol.w_selected.T @ b)[0].var()
             for b in banded(np.where(held & (ts.labels == 1))[0])
         ]
         wins = sum(a > b for a in var0 for b in var1)
