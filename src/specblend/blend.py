@@ -1,8 +1,10 @@
 """Adaptive loss-weight blending from train/validation curve tangents.
 
-Each task keeps a loss curve sampled at checkpoints.  Curves are
-smoothed with a trailing moving average, tangents come from a least
-squares line over the last few smoothed points, and each task's weight
+``update_weights`` takes each checkpoint's train and validation losses,
+one per task, and records them in the ``BlendState``; that state is the
+only loss history the blend reads.  Curves are smoothed with a trailing
+moving average, tangents come from a least squares line over the last
+few smoothed points, fit once per task and update, and each task's weight
 grows with how much its validation tangent improved over the best
 reference checkpoint (generalization) and shrinks with the square of
 how much the train/validation gap widened (overfitting).  During a
@@ -11,8 +13,6 @@ warm-up phase the weights stay uniform while references settle.
 
 from __future__ import annotations
 
-import bisect
-import csv
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,47 +22,6 @@ O_FLOOR = 1e-8
 
 class MissingReferenceError(RuntimeError):
     """Weight update requested before a usable reference tangent exists."""
-
-
-@dataclass
-class LossCurve:
-    """Per-task loss history at strictly increasing checkpoint indices."""
-
-    checkpoints: list = field(default_factory=list)
-    train: list = field(default_factory=list)
-    val: list = field(default_factory=list)
-
-    def append(self, n, train_loss, val_loss):
-        if self.checkpoints and n <= self.checkpoints[-1]:
-            raise ValueError(
-                f"checkpoint {n} not beyond previous {self.checkpoints[-1]}"
-            )
-        if not (np.isfinite(train_loss) and np.isfinite(val_loss)):
-            raise ValueError(f"non-finite loss at checkpoint {n}")
-        self.checkpoints.append(int(n))
-        self.train.append(float(train_loss))
-        self.val.append(float(val_loss))
-
-    def __len__(self):
-        return len(self.checkpoints)
-
-
-class LossCurves:
-    """Fixed-size bundle of per-task curves."""
-
-    def __init__(self, n_tasks):
-        self.curves = tuple(LossCurve() for _ in range(n_tasks))
-
-    def __getitem__(self, m):
-        return self.curves[m]
-
-    def __len__(self):
-        return len(self.curves)
-
-
-def record_checkpoint(curves, m, n, train_loss, val_loss):
-    """Append one (train, val) loss pair for task ``m`` at checkpoint ``n``."""
-    curves[m].append(n, train_loss, val_loss)
 
 
 def line_fit_slope(values, indices):
@@ -116,11 +75,12 @@ class TaskReference:
 
 @dataclass
 class BlendState:
-    """Weights plus per-task reference bookkeeping.
+    """Weights, per-task references and the loss history they are fit on.
 
     ``warmup`` and ``window`` are counted in checkpoints; ``window`` may
     not exceed ``warmup`` so references are fit-ready when blending
-    starts.
+    starts.  ``checkpoints`` holds the recorded checkpoint indices and
+    ``train[m]``/``val[m]`` task m's losses at them.
     """
 
     n_tasks: int = 3
@@ -130,6 +90,9 @@ class BlendState:
     eps: float = O_FLOOR
     weights: np.ndarray = None
     refs: list = None
+    checkpoints: list = field(default_factory=list)
+    train: list = None
+    val: list = None
 
     def __post_init__(self):
         if self.warmup < 2:
@@ -142,101 +105,80 @@ class BlendState:
             self.weights = np.full(self.n_tasks, 1.0 / self.n_tasks)
         if self.refs is None:
             self.refs = [None] * self.n_tasks
+        if self.train is None:
+            self.train = [[] for _ in range(self.n_tasks)]
+        if self.val is None:
+            self.val = [[] for _ in range(self.n_tasks)]
+
+    def record(self, n, train_losses, val_losses):
+        """Append one loss per task at checkpoint ``n``, which must come
+        after every recorded one."""
+        if len(train_losses) != self.n_tasks or len(val_losses) != self.n_tasks:
+            raise ValueError(
+                f"{len(train_losses)} train and {len(val_losses)} val losses "
+                f"for {self.n_tasks} tasks"
+            )
+        if self.checkpoints and n <= self.checkpoints[-1]:
+            raise ValueError(
+                f"checkpoint {n} not beyond previous {self.checkpoints[-1]}"
+            )
+        if not (np.all(np.isfinite(train_losses)) and np.all(np.isfinite(val_losses))):
+            raise ValueError(f"non-finite loss at checkpoint {n}")
+        self.checkpoints.append(int(n))
+        for m in range(self.n_tasks):
+            self.train[m].append(float(train_losses[m]))
+            self.val[m].append(float(val_losses[m]))
+
+    def tangents(self, m):
+        """Task ``m``'s (train, val) smoothed tangents at the newest
+        checkpoint."""
+        return (smoothed_tangent(self.train[m], self.checkpoints, self.window),
+                smoothed_tangent(self.val[m], self.checkpoints, self.window))
 
 
-def _points_upto(curve, n):
-    k = bisect.bisect_right(curve.checkpoints, n)  # checkpoints increase
-    return curve.checkpoints[:k], curve.train[:k], curve.val[:k]
-
-
-def _current_tangents(curve, n, window):
-    idx, tr, va = _points_upto(curve, n)
-    return smoothed_tangent(tr, idx, window), smoothed_tangent(va, idx, window)
-
-
-def compute_G(state, m, curves, n):
+def compute_G(ref, tan_val):
     """Generalization measure, Eq.-style: current validation tangent
     minus the reference one, floored at 0."""
-    ref = state.refs[m]
-    if ref is None or not ref.usable:
-        raise MissingReferenceError(f"task {m} has no usable reference tangent")
-    _, tan_val = _current_tangents(curves[m], n, state.window)
     return max(tan_val - ref.tan_val, 0.0)
 
 
-def compute_O(state, m, curves, n):
+def compute_O(ref, tan_train, tan_val, eps):
     """Overfitting measure: growth of the validation-train tangent gap
-    since the reference, floored at ``state.eps``."""
-    ref = state.refs[m]
-    if ref is None or not ref.usable:
-        raise MissingReferenceError(f"task {m} has no usable reference tangent")
-    tan_train, tan_val = _current_tangents(curves[m], n, state.window)
+    since the reference, floored at ``eps``."""
     gap_now = tan_val - tan_train
     gap_ref = ref.tan_val - ref.tan_train
-    return max(gap_now - gap_ref, state.eps)
+    return max(gap_now - gap_ref, eps)
 
 
-def _set_reference(state, m, curves, n):
-    idx, _, _ = _points_upto(curves[m], n)
-    if len(idx) >= 2:
-        tan_train, tan_val = _current_tangents(curves[m], n, state.window)
-        state.refs[m] = TaskReference(n0=n, tan_train=tan_train, tan_val=tan_val)
-    else:
-        state.refs[m] = TaskReference(n0=n)
-
-
-def update_weights(state, curves, n):
-    """Advance the blend state at checkpoint ``n`` and return weights.
+def update_weights(state, n, train_losses, val_losses):
+    """Record checkpoint ``n``'s losses, advance the blend state and
+    return the weights.
 
     Warm-up (n < warmup): uniform weights, references dragged along.
     Afterwards: w_m proportional to G_m / O_m**exponent, normalized to
-    sum 1; if every G_m is zero the previous weights persist.  Finally
-    any task whose current validation tangent beats its reference moves
-    its reference here, so the reference tangent never increases.
+    sum 1; if every G_m is zero the previous weights persist.  Any task
+    whose current validation tangent beats its reference then moves its
+    reference here, so the reference tangent never increases.  Each
+    task's two tangents are fit once per call.
     """
-    if len(curves) != state.n_tasks:
-        raise ValueError(f"{len(curves)} curves for {state.n_tasks} tasks")
+    state.record(n, train_losses, val_losses)
     if n < state.warmup:
-        for m in range(state.n_tasks):
-            _set_reference(state, m, curves, n)
+        fit = len(state.checkpoints) >= 2
+        state.refs = [TaskReference(n, *state.tangents(m)) if fit
+                      else TaskReference(n0=n) for m in range(state.n_tasks)]
         state.weights = np.full(state.n_tasks, 1.0 / state.n_tasks)
         return state.weights.copy()
 
     raw = np.zeros(state.n_tasks)
-    tangents = []
-    for m in range(state.n_tasks):
-        g = compute_G(state, m, curves, n)
-        o = compute_O(state, m, curves, n)
-        raw[m] = g / o**state.exponent
-        tangents.append(_current_tangents(curves[m], n, state.window))
+    for m, ref in enumerate(state.refs):
+        if ref is None or not ref.usable:
+            raise MissingReferenceError(f"task {m} has no usable reference tangent")
+        tan_train, tan_val = state.tangents(m)
+        raw[m] = (compute_G(ref, tan_val)
+                  / compute_O(ref, tan_train, tan_val, state.eps) ** state.exponent)
+        if ref.tan_val > tan_val:
+            state.refs[m] = TaskReference(n0=n, tan_train=tan_train, tan_val=tan_val)
     z = raw.sum()
     if z > 0.0:
         state.weights = raw / z
-    for m in range(state.n_tasks):
-        tan_train, tan_val = tangents[m]
-        if state.refs[m].tan_val > tan_val:
-            state.refs[m] = TaskReference(n0=n, tan_train=tan_train, tan_val=tan_val)
     return state.weights.copy()
-
-
-def export_curves_csv(curves, weight_history, path, config_hash=None):
-    """Write the long-format curve/weight table.
-
-    ``weight_history`` maps checkpoint index to the weight vector that
-    was in force there.  Columns: checkpoint, task, train_loss,
-    val_loss, weight.
-    """
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["checkpoint", "task", "train_loss", "val_loss", "weight"])
-        for m, curve in enumerate(curves.curves):
-            for i, n in enumerate(curve.checkpoints):
-                w = weight_history.get(n)
-                writer.writerow([
-                    n, m,
-                    f"{curve.train[i]:.10g}",
-                    f"{curve.val[i]:.10g}",
-                    f"{w[m]:.10g}" if w is not None else "",
-                ])

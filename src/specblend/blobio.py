@@ -10,6 +10,7 @@ with nothing but ``json`` and ``numpy.frombuffer``.
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -89,8 +90,10 @@ def read_arrays(manifest_path):
     Raises
     ------
     BlobFormatError
-        On a malformed manifest, an unknown format tag, or a blob whose
-        byte length disagrees with the manifest (message contains
+        On a malformed manifest, an unknown format tag, a version or
+        dtype other than the ones written here, an array entry that
+        lacks a key or whose shape, size and offset disagree, or a blob
+        whose byte length disagrees with the manifest (message contains
         ``"size mismatch"``).
     """
     manifest_path = Path(manifest_path)
@@ -100,13 +103,32 @@ def read_arrays(manifest_path):
     except json.JSONDecodeError as exc:
         raise BlobFormatError(f"malformed manifest {manifest_path}: {exc}") from exc
 
+    if not isinstance(manifest, dict):
+        raise BlobFormatError(f"manifest {manifest_path} is not a JSON object")
     if manifest.get("format") != FORMAT_NAME:
         raise BlobFormatError(f"unknown format tag {manifest.get('format')!r}")
+    if manifest.get("version") != FORMAT_VERSION:
+        raise BlobFormatError(f"unsupported format version {manifest.get('version')!r}")
+    if manifest.get("dtype") != "float32":
+        raise BlobFormatError(f"unsupported dtype {manifest.get('dtype')!r}")
     if manifest.get("byte_order") != "little":
         raise BlobFormatError(f"unsupported byte order {manifest.get('byte_order')!r}")
 
     entries = manifest.get("arrays", [])
-    expected = sum(e["size"] for e in entries) * _ITEMSIZE
+    expected = 0  # bytes; the writer lays arrays end to end in order
+    for e in entries:
+        missing = sorted({"name", "shape", "offset", "size"} - set(e))
+        if missing:
+            raise BlobFormatError(f"array entry {e.get('name')!r} lacks {missing}")
+        shape = e["shape"]
+        if (not all(isinstance(d, int) and d >= 0 for d in shape)
+                or math.prod(shape) != e["size"]):
+            raise BlobFormatError(
+                f"array {e['name']!r}: shape {shape} does not hold size {e['size']}")
+        if e["offset"] != expected:
+            raise BlobFormatError(
+                f"array {e['name']!r}: offset {e['offset']}, expected {expected}")
+        expected += e["size"] * _ITEMSIZE
     raw = blob_path(manifest_path).read_bytes()
     if len(raw) != expected:
         raise BlobFormatError(

@@ -21,7 +21,6 @@ import sys
 from multiprocessing import get_context
 from pathlib import Path
 
-from .blend import export_curves_csv
 from .config import (
     ConfigError,
     RunConfig,
@@ -42,7 +41,12 @@ from .evalmetrics import (
 )
 from .fbcsp import load_transform, save_transform
 from .model import MultiTaskAE
-from .trainer import load_model_state, save_model_state, write_train_log_csv
+from .trainer import (
+    export_curves_csv,
+    load_model_state,
+    save_model_state,
+    write_train_log_csv,
+)
 from .trialdata import generate_synthetic, make_splits, save_trialset
 
 
@@ -119,10 +123,7 @@ def cmd_train(args) -> int:
                            "n_classes": dims.n_classes})
     write_train_log_csv(result.log, out / f"trainlog_fold{args.fold}.csv",
                         config_hash=chash)
-    weight_history = {r.checkpoint: list(r.weights)
-                      for r in result.log.rows}
-    export_curves_csv(result.curves, weight_history,
-                      out / f"curves_fold{args.fold}.csv",
+    export_curves_csv(result.log, out / f"curves_fold{args.fold}.csv",
                       config_hash=chash)
     last = result.log.rows[-1]
     auc = "NA" if row.auc is None else f"{row.auc:.4f}"

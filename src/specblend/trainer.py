@@ -4,13 +4,18 @@ The trainer owns parameter updates.  Each optimization step runs one
 forward pass over a mini-batch, mines triplets on the resulting latents,
 weights the three task gradients by the current blend weights, and
 applies one Adam update.  Twice per epoch (once when an epoch has only a
-single step) it records smoothed-curve checkpoints and refreshes the
-blend weights; once per epoch it applies the learning-rate plateau rule
-and the early-stopping rule to the monitored validation loss.
+single step) it hands the checkpoint's train and validation losses to
+``update_weights``, which records them in the blend state and returns
+the new weights, and appends a ``CheckpointRow`` to the ``TrainLog``;
+once per epoch it applies the learning-rate plateau rule and the
+early-stopping rule to the monitored validation loss.  The log's rows
+are the loss history that everything outside the blend reads: both CSV
+writers below work from them.
 """
 
 from __future__ import annotations
 
+import csv
 import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -18,7 +23,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import blobio
-from .blend import BlendState, LossCurves, record_checkpoint, update_weights
+from .blend import BlendState, update_weights
 from .losses import (
     ce_loss,
     mse_grad,
@@ -177,26 +182,12 @@ class TrainLog:
     best_checkpoint: int = -1
     stopped_epoch: int = -1
 
-    def __post_init__(self):
-        self._check_monotone()
-
-    def _check_monotone(self):
-        idx = [r.checkpoint for r in self.rows]
-        if any(b <= a for a, b in zip(idx, idx[1:])):
-            raise ValueError("checkpoint indices must increase")
-
-    def append(self, row: CheckpointRow) -> None:
-        if self.rows and row.checkpoint <= self.rows[-1].checkpoint:
-            raise ValueError("checkpoint indices must increase")
-        self.rows.append(row)
-
 
 @dataclass
 class TrainResult:
     state: Dict[str, np.ndarray]
     log: TrainLog
     blend: BlendState
-    curves: LossCurves
 
 
 def _batch_plan(n: int, batch_size: int) -> int:
@@ -285,7 +276,6 @@ def train(model: MultiTaskAE,
     steps_per_epoch, cpe, blend_state = epoch_plan(n_train, config)
     mid_step = steps_per_epoch // 2 if cpe == 2 else steps_per_epoch
 
-    curves = LossCurves(3)
     log = TrainLog()
     adam = Adam(model.named_parameters())
     controller = PlateauController(config.lr_init, config.lr_min,
@@ -306,12 +296,10 @@ def train(model: MultiTaskAE,
         train_means = tuple(float(np.mean([w[i] for w in window]))
                             for i in range(3))
         val_losses = _task_losses(model, val_x, val_hot, config.margin)
-        for m in range(3):
-            record_checkpoint(curves, m, checkpoint_idx,
-                              train_means[m], val_losses[m])
-        weights = update_weights(blend_state, curves, checkpoint_idx)
+        weights = update_weights(blend_state, checkpoint_idx,
+                                 train_means, val_losses)
         val_total = weighted_total(val_losses, weights)
-        log.append(CheckpointRow(
+        log.rows.append(CheckpointRow(
             checkpoint=checkpoint_idx,
             epoch=epoch,
             lr=lr,
@@ -379,8 +367,7 @@ def train(model: MultiTaskAE,
 
     if best_state is not None:
         model.load_state_dict(best_state)
-    return TrainResult(state=model.state_dict(), log=log,
-                       blend=blend_state, curves=curves)
+    return TrainResult(state=model.state_dict(), log=log, blend=blend_state)
 
 
 def write_train_log_csv(log: TrainLog, path, config_hash: Optional[str] = None,
@@ -405,6 +392,22 @@ def write_train_log_csv(log: TrainLog, path, config_hash: Optional[str] = None,
                  f"stopped_epoch={log.stopped_epoch}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
+
+
+def export_curves_csv(log: TrainLog, path, config_hash: Optional[str] = None,
+                      ) -> None:
+    """Write the long-format curve/weight table from the log's rows,
+    task-major.  Columns: checkpoint, task, train_loss, val_loss and the
+    weight computed at that checkpoint, the last three as ``%.10g``."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        if config_hash is not None:
+            fh.write(f"# config_hash={config_hash}\n")
+        writer = csv.writer(fh)
+        writer.writerow(["checkpoint", "task", "train_loss", "val_loss", "weight"])
+        for m in range(3):
+            for r in log.rows:
+                writer.writerow([r.checkpoint, m, f"{r.train_losses[m]:.10g}",
+                                 f"{r.val_losses[m]:.10g}", f"{r.weights[m]:.10g}"])
 
 
 def save_model_state(manifest_path, state: Dict[str, np.ndarray],

@@ -6,13 +6,18 @@ check analytic gradients, direct polynomial evaluation of filter
 transfer functions, a one-channel-at-a-time zero-phase filter bank, and
 an im2col correlation trio for the width-axis convolutions, the
 pair-by-pair loop for semi-hard triplet mining, a trial-by-trial class
-covariance and an index-by-index trailing moving average.
+covariance, an index-by-index trailing moving average and a blend update
+that refits every tangent from the curves cut at the checkpoint.
 """
 
 from __future__ import annotations
 
+import bisect
+
 import numpy as np
 from scipy import signal as sps
+
+from specblend.blend import MissingReferenceError, TaskReference, smoothed_tangent
 
 
 def jacobi_eigh(a, tol=1e-14, max_sweeps=200):
@@ -242,3 +247,60 @@ def loop_moving_average(values, window):
     for i in range(len(values)):
         out[i] = values[max(0, i - window + 1) : i + 1].mean()
     return out
+
+
+def _points_upto(curve, n):
+    checkpoints, train, val = curve
+    k = bisect.bisect_right(checkpoints, n)  # checkpoints increase
+    return checkpoints[:k], train[:k], val[:k]
+
+
+def _current_tangents(curve, n, window):
+    idx, tr, va = _points_upto(curve, n)
+    return smoothed_tangent(tr, idx, window), smoothed_tangent(va, idx, window)
+
+
+def recompute_update_weights(state, curves, n):
+    """The blend update at checkpoint ``n`` recomputed from whole curves.
+
+    ``curves[m]`` is task m's ``(checkpoints, train, val)``, three plain
+    lists that may run past ``n``; every tangent is refit on the points
+    up to ``n``.  Only ``state``'s settings, ``weights`` and ``refs`` are
+    read and advanced, never its recorded history.  Warm-up drags each
+    reference along at uniform weights; afterwards each task scores
+    G / O**exponent against its reference, the scores are normalized
+    (kept if all zero), and a task whose validation tangent beats its
+    reference moves the reference to ``n``.
+    """
+    if len(curves) != state.n_tasks:
+        raise ValueError(f"{len(curves)} curves for {state.n_tasks} tasks")
+    if n < state.warmup:
+        for m in range(state.n_tasks):
+            if len(_points_upto(curves[m], n)[0]) >= 2:
+                tan_train, tan_val = _current_tangents(curves[m], n, state.window)
+                state.refs[m] = TaskReference(n0=n, tan_train=tan_train,
+                                              tan_val=tan_val)
+            else:
+                state.refs[m] = TaskReference(n0=n)
+        state.weights = np.full(state.n_tasks, 1.0 / state.n_tasks)
+        return state.weights.copy()
+
+    raw = np.zeros(state.n_tasks)
+    tangents = []
+    for m in range(state.n_tasks):
+        ref = state.refs[m]
+        if ref is None or not ref.usable:
+            raise MissingReferenceError(f"task {m} has no usable reference tangent")
+        tan_train, tan_val = _current_tangents(curves[m], n, state.window)
+        g = max(tan_val - ref.tan_val, 0.0)
+        o = max((tan_val - tan_train) - (ref.tan_val - ref.tan_train), state.eps)
+        raw[m] = g / o**state.exponent
+        tangents.append((tan_train, tan_val))
+    z = raw.sum()
+    if z > 0.0:
+        state.weights = raw / z
+    for m in range(state.n_tasks):
+        tan_train, tan_val = tangents[m]
+        if state.refs[m].tan_val > tan_val:
+            state.refs[m] = TaskReference(n0=n, tan_train=tan_train, tan_val=tan_val)
+    return state.weights.copy()

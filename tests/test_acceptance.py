@@ -15,9 +15,7 @@ import pytest
 
 from specblend.blend import (
     BlendState,
-    LossCurves,
     TaskReference,
-    record_checkpoint,
     smoothed_tangent,
     update_weights,
 )
@@ -238,13 +236,17 @@ def test_5_adaptive_blending(capsys):
         # two-task worked example: growths (0.5, 1.5), gaps (0.5, 1.5),
         # raw scores 0.5/0.25 = 2 and 1.5/2.25 = 2/3 -> weights 3/4, 1/4
         state = BlendState(n_tasks=2, warmup=2, window=2)
-        curves = LossCurves(2)
-        for m, (slope_tr, slope_va) in enumerate([(-1.0, -0.5), (-1.0, 0.5)]):
+        slopes = [(-1.0, -0.5), (-1.0, 0.5)]
+        for m in range(2):
             state.refs[m] = TaskReference(n0=1, tan_train=-1.0, tan_val=-1.0)
-            for n in (1, 2, 3):
-                record_checkpoint(curves, m, n,
-                                  10.0 + slope_tr * n, 10.0 + slope_va * n)
-        w = update_weights(state, curves, 3)
+
+        def losses_at(n):
+            return ([10.0 + slope_tr * n for slope_tr, _ in slopes],
+                    [10.0 + slope_va * n for _, slope_va in slopes])
+
+        for n in (1, 2):
+            state.record(n, *losses_at(n))
+        w = update_weights(state, 3, *losses_at(3))
         assert abs(w[0] - 0.75) <= 1e-12
         assert abs(w[1] - 0.25) <= 1e-12
 
@@ -273,15 +275,16 @@ def test_5_adaptive_blending(capsys):
                 assert abs(sum(row.weights) - 1.0) <= 1e-12
         assert saw_post
 
-        # replay the recorded curves through a fresh state and track the
+        # replay the logged losses through a fresh state and track the
         # reference tangents from the end of warm-up onward
         fresh = BlendState(n_tasks=3, warmup=warmup_cp,
                            window=config.blend_window,
                            exponent=config.blend_exponent)
         tails = []
         replayed = None
-        for n in result.curves[0].checkpoints:
-            replayed = update_weights(fresh, result.curves, n)
+        for row in result.log.rows:
+            n = row.checkpoint
+            replayed = update_weights(fresh, n, row.train_losses, row.val_losses)
             if n >= fresh.warmup - 1:
                 tails.append([fresh.refs[m].tan_val for m in range(3)])
         np.testing.assert_array_equal(replayed, result.blend.weights)
@@ -389,8 +392,9 @@ def test_7_small_sample_weight_shift(capsys):
                        vx, ts.labels[fold.val], config,
                        rng=np.random.default_rng([config.seed, 0]))
 
-        ce_curve = result.curves[2]
-        late_tangent = smoothed_tangent(ce_curve.val, ce_curve.checkpoints,
+        rows = result.log.rows
+        late_tangent = smoothed_tangent([r.val_losses[2] for r in rows],
+                                        [r.checkpoint for r in rows],
                                         config.blend_window)
         assert late_tangent > 0.0, "classifier validation loss not worsening"
         assert result.log.rows[-1].weights[2] < 1.0 / 3.0

@@ -5,32 +5,41 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from specblend import blend
 from specblend.blend import (
     BlendState,
-    LossCurve,
-    LossCurves,
     MissingReferenceError,
     TaskReference,
     compute_G,
     compute_O,
-    export_curves_csv,
     line_fit_slope,
     moving_average,
-    record_checkpoint,
     smoothed_tangent,
     update_weights,
 )
-from tests.support.oracles import loop_moving_average
+from tests.support.oracles import loop_moving_average, recompute_update_weights
 
 
-def linear_curves(n_tasks, slopes, n_points, offset=10.0):
-    """Curves with exact linear train/val tracks per task:
-    slopes[m] = (train_slope, val_slope)."""
-    curves = LossCurves(n_tasks)
-    for m, (s_train, s_val) in enumerate(slopes):
-        for n in range(1, n_points + 1):
-            record_checkpoint(curves, m, n, offset + s_train * n, offset + s_val * n)
-    return curves
+def linear_losses(slopes, n, offset=10.0):
+    """Per-task (train, val) losses at checkpoint ``n`` of exact linear
+    tracks: slopes[m] = (train_slope, val_slope)."""
+    return ([offset + s_train * n for s_train, _ in slopes],
+            [offset + s_val * n for _, s_val in slopes])
+
+
+def linear_state(slopes, n_points, **kw):
+    """A blend state holding checkpoints 1..n_points of linear tracks,
+    recorded without any weight update."""
+    state = BlendState(n_tasks=len(slopes), **kw)
+    for n in range(1, n_points + 1):
+        state.record(n, *linear_losses(slopes, n))
+    return state
+
+
+def noisy_losses(rng, n_tasks, n, train_scale=2.0, val_scale=2.5, noise=0.05):
+    """Loss-like decaying (train, val) pairs with Gaussian noise."""
+    return ([train_scale / n + noise * rng.standard_normal() for _ in range(n_tasks)],
+            [val_scale / n + noise * rng.standard_normal() for _ in range(n_tasks)])
 
 
 class TestLineFit:
@@ -78,68 +87,85 @@ class TestMovingAverage:
 
 class TestCurveRecording:
     def test_append_read_back(self):
-        curves = LossCurves(3)
-        record_checkpoint(curves, 1, 1, 0.5, 0.7)
-        record_checkpoint(curves, 1, 2, 0.4, 0.6)
-        assert curves[1].checkpoints == [1, 2]
-        assert curves[1].train == [0.5, 0.4]
-        assert curves[1].val == [0.7, 0.6]
-        assert len(curves[0]) == 0  # tasks independent
+        state = BlendState(n_tasks=3, warmup=2, window=2)
+        state.record(1, (0.9, 0.5, 0.3), (1.0, 0.7, 0.4))
+        state.record(2, (0.8, 0.4, 0.2), (0.9, 0.6, 0.3))
+        assert state.checkpoints == [1, 2]
+        assert state.train[1] == [0.5, 0.4]
+        assert state.val[1] == [0.7, 0.6]
+        assert state.train[0] == [0.9, 0.8]  # tasks independent
 
     def test_duplicate_checkpoint_rejected(self):
-        curve = LossCurve()
-        curve.append(1, 0.5, 0.5)
+        state = BlendState(n_tasks=1, warmup=2, window=2)
+        state.record(1, [0.5], [0.5])
         with pytest.raises(ValueError, match="beyond"):
-            curve.append(1, 0.4, 0.4)
+            state.record(1, [0.4], [0.4])
 
     def test_non_finite_rejected(self):
-        curve = LossCurve()
+        state = BlendState(n_tasks=1, warmup=2, window=2)
         with pytest.raises(ValueError, match="finite"):
-            curve.append(1, np.nan, 0.5)
+            state.record(1, [np.nan], [0.5])
+
+    def test_one_loss_per_task(self):
+        state = BlendState(n_tasks=3, warmup=2, window=2)
+        with pytest.raises(ValueError, match="for 3 tasks"):
+            state.record(1, [0.5, 0.5], [0.5, 0.5, 0.5])
+        assert state.checkpoints == []
+
+    def test_update_rejects_an_old_checkpoint(self):
+        """``update_weights`` records first, so a repeated checkpoint
+        raises before the weights or references move."""
+        state = BlendState(n_tasks=2, warmup=3, window=2)
+        for n in (1, 2, 3):
+            update_weights(state, n, *linear_losses([(-1.0, -0.5), (-1.0, 0.5)], n))
+        weights, refs = state.weights.copy(), list(state.refs)
+        with pytest.raises(ValueError, match="beyond"):
+            update_weights(state, 3, [1.0, 1.0], [1.0, 1.0])
+        np.testing.assert_array_equal(state.weights, weights)
+        assert state.refs == refs
+
+
+REF = TaskReference(n0=1, tan_train=-1.0, tan_val=-1.0)
 
 
 class TestGAndO:
-    def make_state_with_refs(self, n_tasks=2, window=2):
-        state = BlendState(n_tasks=n_tasks, warmup=2, window=window)
-        for m in range(n_tasks):
-            state.refs[m] = TaskReference(n0=1, tan_train=-1.0, tan_val=-1.0)
-        return state
-
     def test_worked_pair_one(self):
         """Reference tangents (-1, -1); now val -0.5, train -1:
         G = 0.5, O = 0.5."""
-        state = self.make_state_with_refs()
-        curves = linear_curves(2, [(-1.0, -0.5), (-1.0, 0.5)], n_points=3)
-        assert compute_G(state, 0, curves, 3) == pytest.approx(0.5, abs=1e-12)
-        assert compute_O(state, 0, curves, 3) == pytest.approx(0.5, abs=1e-12)
+        state = linear_state([(-1.0, -0.5), (-1.0, 0.5)], 3, warmup=2, window=2)
+        tan_train, tan_val = state.tangents(0)
+        assert compute_G(REF, tan_val) == pytest.approx(0.5, abs=1e-12)
+        o = compute_O(REF, tan_train, tan_val, state.eps)
+        assert o == pytest.approx(0.5, abs=1e-12)
 
     def test_worked_pair_two(self):
         """Now val +0.5, train -1: G = 1.5, O = 1.5."""
-        state = self.make_state_with_refs()
-        curves = linear_curves(2, [(-1.0, -0.5), (-1.0, 0.5)], n_points=3)
-        assert compute_G(state, 1, curves, 3) == pytest.approx(1.5, abs=1e-12)
-        assert compute_O(state, 1, curves, 3) == pytest.approx(1.5, abs=1e-12)
+        state = linear_state([(-1.0, -0.5), (-1.0, 0.5)], 3, warmup=2, window=2)
+        tan_train, tan_val = state.tangents(1)
+        assert compute_G(REF, tan_val) == pytest.approx(1.5, abs=1e-12)
+        o = compute_O(REF, tan_train, tan_val, state.eps)
+        assert o == pytest.approx(1.5, abs=1e-12)
 
     def test_reference_identity_floors(self):
         """Same tangents as the reference: G 0, O floored at eps."""
-        state = self.make_state_with_refs()
-        curves = linear_curves(2, [(-1.0, -1.0), (-1.0, -1.0)], n_points=3)
-        assert compute_G(state, 0, curves, 3) == 0.0
-        assert compute_O(state, 0, curves, 3) == state.eps
+        state = linear_state([(-1.0, -1.0), (-1.0, -1.0)], 3, warmup=2, window=2)
+        tan_train, tan_val = state.tangents(0)
+        assert compute_G(REF, tan_val) == 0.0
+        assert compute_O(REF, tan_train, tan_val, state.eps) == state.eps
 
     def test_missing_reference_raises(self):
-        state = BlendState(n_tasks=1, warmup=2, window=2)
-        curves = linear_curves(1, [(-1.0, -1.0)], n_points=3)
+        """Checkpoints recorded but never blended: the first update past
+        the warm-up finds no reference."""
+        state = linear_state([(-1.0, -1.0)], 2, warmup=2, window=2)
         with pytest.raises(MissingReferenceError):
-            compute_G(state, 0, curves, 3)
+            update_weights(state, 3, *linear_losses([(-1.0, -1.0)], 3))
 
 
 class TestUpdateWeights:
     def test_warmup_uniform_and_reference_dragged(self):
         state = BlendState(n_tasks=3, warmup=4, window=2)
-        curves = linear_curves(3, [(-1.0, -0.5)] * 3, n_points=3)
         for n in (1, 2, 3):
-            w = update_weights(state, curves, n)
+            w = update_weights(state, n, *linear_losses([(-1.0, -0.5)] * 3, n))
             np.testing.assert_array_equal(w, np.full(3, 1.0 / 3.0))
         assert all(r.n0 == 3 for r in state.refs)
         assert all(r.usable for r in state.refs)
@@ -147,54 +173,43 @@ class TestUpdateWeights:
     def test_two_task_worked_example(self):
         """G/O pairs (0.5, 0.5) and (1.5, 1.5) with squared exponent:
         raw (2.0, 2/3), normalized (0.75, 0.25)."""
-        state = BlendState(n_tasks=2, warmup=2, window=2)
-        for m in range(2):
-            state.refs[m] = TaskReference(n0=1, tan_train=-1.0, tan_val=-1.0)
-        curves = linear_curves(2, [(-1.0, -0.5), (-1.0, 0.5)], n_points=3)
-        w = update_weights(state, curves, 3)
+        slopes = [(-1.0, -0.5), (-1.0, 0.5)]
+        state = linear_state(slopes, 2, warmup=2, window=2)
+        state.refs = [REF, REF]
+        w = update_weights(state, 3, *linear_losses(slopes, 3))
         assert abs(w[0] - 0.75) <= 1e-12
         assert abs(w[1] - 0.25) <= 1e-12
 
     def test_exponent_one_variant(self):
         """Same curves under G/O instead of G/O^2: raw (1, 1) so the
         weights even out."""
-        state = BlendState(n_tasks=2, warmup=2, window=2, exponent=1.0)
-        for m in range(2):
-            state.refs[m] = TaskReference(n0=1, tan_train=-1.0, tan_val=-1.0)
-        curves = linear_curves(2, [(-1.0, -0.5), (-1.0, 0.5)], n_points=3)
-        w = update_weights(state, curves, 3)
+        slopes = [(-1.0, -0.5), (-1.0, 0.5)]
+        state = linear_state(slopes, 2, warmup=2, window=2, exponent=1.0)
+        state.refs = [REF, REF]
+        w = update_weights(state, 3, *linear_losses(slopes, 3))
         np.testing.assert_allclose(w, [0.5, 0.5], atol=1e-12)
 
     def test_identical_tasks_stay_uniform(self):
         state = BlendState(n_tasks=3, warmup=3, window=2)
-        curves = linear_curves(3, [(-1.0, -0.5)] * 3, n_points=6)
         for n in range(1, 7):
-            w = update_weights(state, curves, n)
+            w = update_weights(state, n, *linear_losses([(-1.0, -0.5)] * 3, n))
         np.testing.assert_allclose(w, 1.0 / 3.0, atol=1e-12)
         np.testing.assert_allclose(w.sum(), 1.0, atol=1e-12)
 
     def test_all_stalled_keeps_previous_weights(self):
         """Every G floored to zero: previous weights persist."""
-        state = BlendState(n_tasks=2, warmup=2, window=2)
-        for m in range(2):
-            state.refs[m] = TaskReference(n0=1, tan_train=0.0, tan_val=5.0)
-        curves = linear_curves(2, [(-1.0, -0.5), (-1.0, -0.5)], n_points=3)
+        slopes = [(-1.0, -0.5), (-1.0, -0.5)]
+        state = linear_state(slopes, 2, warmup=2, window=2)
+        state.refs = [TaskReference(n0=1, tan_train=0.0, tan_val=5.0)] * 2
         state.weights = np.array([0.9, 0.1])
-        w = update_weights(state, curves, 3)
+        w = update_weights(state, 3, *linear_losses(slopes, 3))
         np.testing.assert_array_equal(w, [0.9, 0.1])
 
     def test_post_warmup_weights_sum_to_one(self):
         rng = np.random.default_rng(0)
         state = BlendState(n_tasks=3, warmup=4, window=3)
-        curves = LossCurves(3)
         for n in range(1, 13):
-            for m in range(3):
-                record_checkpoint(
-                    curves, m, n,
-                    2.0 / n + 0.05 * rng.standard_normal(),
-                    2.5 / n + 0.05 * rng.standard_normal(),
-                )
-            w = update_weights(state, curves, n)
+            w = update_weights(state, n, *noisy_losses(rng, 3, n))
             assert np.all(w >= 0.0)
             assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -204,16 +219,9 @@ class TestUpdateWeights:
         the reference is dragged along unconditionally.)"""
         rng = np.random.default_rng(1)
         state = BlendState(n_tasks=3, warmup=4, window=3)
-        curves = LossCurves(3)
         history = [[] for _ in range(3)]
         for n in range(1, 20):
-            for m in range(3):
-                record_checkpoint(
-                    curves, m, n,
-                    1.0 / n + 0.1 * rng.standard_normal(),
-                    1.5 / n + 0.1 * rng.standard_normal(),
-                )
-            update_weights(state, curves, n)
+            update_weights(state, n, *noisy_losses(rng, 3, n, 1.0, 1.5, 0.1))
             if n >= state.warmup - 1:
                 for m in range(3):
                     history[m].append(state.refs[m].tan_val)
@@ -223,58 +231,72 @@ class TestUpdateWeights:
 
     def test_overfit_damping_direction(self):
         """With G fixed, a larger O must shrink the unnormalized weight."""
-        state = BlendState(n_tasks=2, warmup=2, window=2)
-        for m in range(2):
-            state.refs[m] = TaskReference(n0=1, tan_train=-1.0, tan_val=-1.0)
         raws = []
         for extra_gap in (0.5, 1.5):
             # same val improvement, train tangent sinking -> bigger gap
-            curves = linear_curves(
-                2, [(-1.0 - extra_gap + 0.5, -0.5), (-1.0, 0.5)], n_points=3
-            )
-            g = compute_G(state, 0, curves, 3)
-            o = compute_O(state, 0, curves, 3)
+            state = linear_state([(-1.0 - extra_gap + 0.5, -0.5), (-1.0, 0.5)], 3,
+                                 warmup=2, window=2)
+            tan_train, tan_val = state.tangents(0)
+            g = compute_G(REF, tan_val)
+            o = compute_O(REF, tan_train, tan_val, state.eps)
             raws.append(g / o**2)
             assert g == pytest.approx(0.5, abs=1e-12)
         assert raws[1] < raws[0]
 
-    def test_later_checkpoints_are_invisible(self):
-        """Updating at a middle checkpoint of a long curve gives the same
-        weights and references as updating on the curve cut there."""
-        rng = np.random.default_rng(2)
-        checkpoints = np.cumsum(rng.integers(1, 4, size=30))
-        full, cut = LossCurves(3), LossCurves(3)
-        mid = checkpoints[17]
-        for n in checkpoints:
-            for m in range(3):
-                pair = (1.0 / n + 0.1 * rng.standard_normal(),
-                        1.5 / n + 0.1 * rng.standard_normal())
-                record_checkpoint(full, m, n, *pair)
-                if n <= mid:
-                    record_checkpoint(cut, m, n, *pair)
-        on_full = BlendState(n_tasks=3, warmup=8, window=3)
-        on_cut = BlendState(n_tasks=3, warmup=8, window=3)
-        for n in checkpoints[checkpoints <= mid]:
-            np.testing.assert_array_equal(update_weights(on_full, full, n),
-                                          update_weights(on_cut, cut, n))
-            assert on_full.refs == on_cut.refs
-        assert not np.allclose(on_full.weights, 1.0 / 3.0)
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_property_matches_the_cut_curve_oracle(self, data):
+        """At every checkpoint of a curve with gaps in its indices, the
+        streaming update equals the same rule refit on the whole curve
+        cut there: the same weights bit for bit and equal references,
+        or the same MissingReferenceError."""
+        n_tasks = data.draw(st.integers(1, 4), label="n_tasks")
+        warmup = data.draw(st.integers(2, 8), label="warmup")
+        window = data.draw(st.integers(2, warmup), label="window")
+        exponent = data.draw(st.sampled_from([0.5, 1.0, 2.0, 3.0]), label="exponent")
+        first = data.draw(st.integers(0, 3), label="first")
+        gaps = data.draw(st.lists(st.integers(1, 3), min_size=0, max_size=24),
+                         label="gaps")
+        checkpoints = [first]
+        for gap in gaps:
+            checkpoints.append(checkpoints[-1] + gap)
+        size = 2 * n_tasks * len(checkpoints)
+        flat = data.draw(st.lists(st.floats(0.05, 5.0), min_size=size, max_size=size),
+                         label="losses")
+        losses = np.array(flat).reshape(len(checkpoints), 2, n_tasks)
+        curves = [(checkpoints, losses[:, 0, m].tolist(), losses[:, 1, m].tolist())
+                  for m in range(n_tasks)]
+
+        settings_ = dict(n_tasks=n_tasks, warmup=warmup, window=window, exponent=exponent)
+        streaming, oracle = BlendState(**settings_), BlendState(**settings_)
+        for i, n in enumerate(checkpoints):
+            try:
+                expected = recompute_update_weights(oracle, curves, n)
+            except MissingReferenceError:
+                with pytest.raises(MissingReferenceError):
+                    update_weights(streaming, n, losses[i, 0], losses[i, 1])
+                return
+            got = update_weights(streaming, n, losses[i, 0], losses[i, 1])
+            assert np.array_equal(got, expected)
+            assert streaming.refs == oracle.refs
+
+    def test_one_tangent_pair_per_task_per_update(self, monkeypatch):
+        """A post-warm-up update fits each task's train and validation
+        tangent once: 2 * n_tasks line fits."""
+        rng = np.random.default_rng(3)
+        state = BlendState(n_tasks=3, warmup=4, window=3)
+        for n in range(1, 40):
+            update_weights(state, n, *noisy_losses(rng, 3, n))
+        calls = []
+
+        def counted(*args):
+            calls.append(args)
+            return smoothed_tangent(*args)
+
+        monkeypatch.setattr(blend, "smoothed_tangent", counted)
+        update_weights(state, 40, *noisy_losses(rng, 3, 40))
+        assert len(calls) == 2 * 3
 
     def test_window_must_fit_in_warmup(self):
         with pytest.raises(ValueError, match="window"):
             BlendState(n_tasks=3, warmup=2, window=3)
-
-
-class TestExport:
-    def test_csv_round_trip(self, tmp_path):
-        curves = linear_curves(3, [(-1.0, -0.5)] * 3, n_points=2)
-        history = {1: np.full(3, 1 / 3), 2: np.array([0.5, 0.25, 0.25])}
-        path = tmp_path / "curves.csv"
-        export_curves_csv(curves, history, path, config_hash="abc123")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "# config_hash=abc123"
-        assert lines[1] == "checkpoint,task,train_loss,val_loss,weight"
-        assert len(lines) == 2 + 3 * 2
-        first = lines[2].split(",")
-        assert first[0] == "1" and first[1] == "0"
-        assert float(first[4]) == pytest.approx(1 / 3)

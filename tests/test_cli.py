@@ -120,6 +120,27 @@ class TestTrain:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
 
+    def test_curves_rows_are_the_train_log_rows(self, trained):
+        """Every ``curves_fold0.csv`` cell is the matching
+        ``trainlog_fold0.csv`` value written with ``%.10g``, task-major,
+        and the run reaches checkpoints past the warm-up."""
+        run = trained[1] / "run"
+        log_lines = (run / "trainlog_fold0.csv").read_text().splitlines()
+        log = [dict(zip(log_lines[1].split(","), line.split(",")))
+               for line in log_lines[2:-1]]
+        assert any(r["w_mse"] != r["w_ce"] for r in log), "never left the warm-up"
+        curve_lines = (run / "curves_fold0.csv").read_text().splitlines()
+        assert curve_lines[0] == log_lines[0]
+        assert curve_lines[1] == "checkpoint,task,train_loss,val_loss,weight"
+        expected = []
+        for m, task in enumerate(("mse", "triplet", "ce")):
+            for r in log:
+                expected.append(",".join(
+                    [r["checkpoint"], str(m)]
+                    + [f"{float(r[col]):.10g}"
+                       for col in (f"train_{task}", f"val_{task}", f"w_{task}")]))
+        assert curve_lines[2:] == expected
+
     def test_eval_checkpoint_roundtrip(self, trained, capsys):
         _, tmp, cfg_path, _ = trained
         run = tmp / "run"
