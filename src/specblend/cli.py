@@ -6,8 +6,10 @@ of config overrides, one report per point plus a summary table).
 ``train`` and ``eval`` run the same per-fold chain as the protocol,
 ``evalmetrics.run_fold`` and ``evalmetrics.score_fold``.
 
-Exit codes: 0 success, 2 configuration problems, 3 runtime failures.
-Every output file carries the resolved config hash.
+Exit codes: 0 success, 2 configuration problems (unreadable inputs
+among them), 3 runtime failures (a leakage guard among them).  Every
+output file carries the resolved config hash; datasets, transforms and
+model states are saved as one ``.npz`` file each.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import sys
 from multiprocessing import get_context
 from pathlib import Path
 
+from .blobio import BlobFormatError
 from .config import (
     ConfigError,
     RunConfig,
@@ -70,6 +73,13 @@ def _fold_or_die(plan, index: int):
     return plan.folds[index]
 
 
+def _load(loader, path, flag: str):
+    try:
+        return loader(path)
+    except BlobFormatError as exc:
+        raise ConfigError(f"{flag}: {exc}") from exc
+
+
 def _outdir(cfg: RunConfig) -> Path:
     out = Path(cfg.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -98,7 +108,7 @@ def cmd_synth(args) -> int:
     ts = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    path = out / "dataset.json"
+    path = out / "dataset.npz"
     save_trialset(ts, path, extra_meta={"config_hash": spec_hash})
     print(f"wrote {path}: {ts.n_trials} trials, {ts.n_channels} channels, "
           f"{ts.n_samples} samples at {ts.fs:g} Hz")
@@ -113,9 +123,9 @@ def cmd_train(args) -> int:
     xf, result, row = run_fold(ts, fold, args.fold, cfg.train, bank, dims)
 
     out = _outdir(cfg)
-    save_transform(xf, out / f"transform_fold{args.fold}.json",
+    save_transform(xf, out / f"transform_fold{args.fold}.npz",
                    extra_meta={"config_hash": chash})
-    save_model_state(out / f"model_fold{args.fold}.json", result.state,
+    save_model_state(out / f"model_fold{args.fold}.npz", result.state,
                      meta={"config_hash": chash, "fold": args.fold,
                            "t": dims.t, "u": dims.u,
                            "n_bands": dims.n_bands,
@@ -145,10 +155,15 @@ def cmd_eval(args) -> int:
         fold = _fold_or_die(plan, args.fold)
         tpath = args.transform
         if tpath is None:
-            tpath = Path(cfg.output_dir) / f"transform_fold{args.fold}.json"
-        xf = load_transform(tpath)
+            tpath = Path(cfg.output_dir) / f"transform_fold{args.fold}.npz"
+        xf = _load(load_transform, tpath, "--transform")
         _guard_fold(ts, fold, xf, bank, cfg.train.u)
-        state, _meta = load_model_state(args.checkpoint)
+        state, meta = _load(load_model_state, args.checkpoint, "--checkpoint")
+        if meta.get("fold") != args.fold:
+            raise AssertionError(
+                f"checkpoint {args.checkpoint} was trained for fold "
+                f"{meta.get('fold')}, not fold {args.fold}: its training "
+                f"set may hold fold {args.fold}'s test trials")
         model = MultiTaskAE(dims)
         try:
             model.load_state_dict(state)
@@ -279,10 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
                                     "score one saved checkpoint")
     p.add_argument("--config", required=True)
     p.add_argument("--checkpoint", default=None,
-                   help="model-state manifest; evaluates a single fold")
+                   help="model_fold<k>.npz that train saved for --fold; "
+                        "evaluates that single fold")
     p.add_argument("--transform", default=None,
-                   help="transform manifest (defaults to the one the "
-                        "train command saved for --fold)")
+                   help="transform .npz (defaults to the "
+                        "transform_fold<k>.npz that train saved for --fold)")
     p.add_argument("--fold", type=int, default=0)
     p.set_defaults(func=cmd_eval)
 

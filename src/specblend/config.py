@@ -22,6 +22,7 @@ import json
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
+from .blobio import BlobFormatError
 from .filterbank import DEFAULT_BANDS, DEFAULT_ORDER, make_filter_bank
 from .trainer import TrainConfig
 from .trialdata import (
@@ -211,7 +212,10 @@ class RunConfig:
 
     def load_dataset(self) -> TrialSet:
         if self.data_path is not None:
-            return load_trialset(self.data_path)
+            try:
+                return load_trialset(self.data_path)
+            except BlobFormatError as exc:
+                raise ConfigError(f"data.path: {exc}") from exc
         return generate_synthetic(self.synth)
 
 

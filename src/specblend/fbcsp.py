@@ -150,7 +150,8 @@ def transform_batch(xf, ts):
 
 
 def save_transform(xf, path, extra_meta=None):
-    """Serialize a fitted transform as a manifest/blob pair."""
+    """Save a fitted transform as one ``.npz`` file: the float64
+    projection blocks and the band table."""
     arrays = {
         f"band_{k:02d}": w for k, w in enumerate(xf.per_band_filters)
     }
@@ -164,24 +165,20 @@ def save_transform(xf, path, extra_meta=None):
         "n_channels": xf.n_channels,
         "fitted_on": xf.fitted_on,
     })
-    blobio.write_arrays(path, arrays, meta=meta)
+    blobio.write_arrays(path, arrays, meta)
 
 
 def load_transform(path):
     """Rebuild a transform saved by :func:`save_transform`.
 
     Filter banks are redesigned from the recorded band table; projection
-    blocks come back at blob precision (float32 widened to float64).
+    blocks come back exactly as saved.
     """
-    arrays, meta = blobio.read_arrays(path)
-    if meta.get("kind") != "spectral_spatial_transform":
-        raise blobio.BlobFormatError(f"manifest at {path} is not a transform")
+    arrays, meta = blobio.read_arrays(path, "spectral_spatial_transform")
     bank = make_filter_bank(
         meta["fs"], bands=[tuple(b) for b in meta["bands"]], order=meta["order"]
     )
-    filters = tuple(
-        arrays[f"band_{k:02d}"].astype(np.float64) for k in range(len(meta["bands"]))
-    )
+    filters = tuple(arrays[f"band_{k:02d}"] for k in range(len(meta["bands"])))
     return SpectralSpatialTransform(
         bank=bank,
         per_band_filters=filters,

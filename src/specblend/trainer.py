@@ -410,17 +410,13 @@ def export_curves_csv(log: TrainLog, path, config_hash: Optional[str] = None,
                                  f"{r.val_losses[m]:.10g}", f"{r.weights[m]:.10g}"])
 
 
-def save_model_state(manifest_path, state: Dict[str, np.ndarray],
+def save_model_state(path, state: Dict[str, np.ndarray],
                      meta: Optional[dict] = None) -> None:
-    """Persist a named-parameter snapshot as manifest+blob (float32)."""
-    payload = dict(meta or {})
-    payload["kind"] = "model-state"
-    blobio.write_arrays(manifest_path, state, meta=payload)
+    """Save a named-parameter snapshot as one ``.npz`` file, each array
+    in its own dtype."""
+    blobio.write_arrays(path, state, {**(meta or {}), "kind": "model-state"})
 
 
-def load_model_state(manifest_path) -> Tuple[Dict[str, np.ndarray], dict]:
-    arrays, meta = blobio.read_arrays(manifest_path)
-    if meta.get("kind") != "model-state":
-        raise ValueError(f"not a model-state manifest: {manifest_path}")
-    state = {k: np.asarray(v, dtype=np.float64) for k, v in arrays.items()}
-    return state, meta
+def load_model_state(path) -> Tuple[Dict[str, np.ndarray], dict]:
+    """Read back ``(state, meta)`` saved by :func:`save_model_state`."""
+    return blobio.read_arrays(path, "model-state")

@@ -1,4 +1,5 @@
-"""Trial containers, synthetic EEG generation, and split planning."""
+"""Trial containers, their ``.npz`` files, synthetic EEG generation, and
+split planning."""
 
 from __future__ import annotations
 
@@ -206,34 +207,20 @@ def generate_synthetic(spec):
 
 
 def save_trialset(ts, path, extra_meta=None):
-    """Write a TrialSet as a manifest/blob pair at ``path``."""
+    """Write a TrialSet as one ``.npz`` file at ``path``: float32 signals
+    and int64 labels, subject and session ids."""
     meta = dict(extra_meta or {})
-    meta.update({
-        "kind": "trialset",
-        "fs": ts.fs,
-        "dims": list(ts.signals.shape),
-        "labels": ts.labels.tolist(),
-        "subject_ids": ts.subject_ids.tolist(),
-        "session_ids": ts.session_ids.tolist(),
-    })
-    blobio.write_arrays(path, {"signals": ts.signals}, meta=meta)
+    meta.update({"kind": "trialset", "fs": ts.fs})
+    blobio.write_arrays(path, {"signals": ts.signals, "labels": ts.labels,
+                               "subject_ids": ts.subject_ids,
+                               "session_ids": ts.session_ids}, meta)
 
 
 def load_trialset(path):
-    """Read back a TrialSet written by :func:`save_trialset`.
-
-    Round-trips are exact: signals are stored in their native float32.
-    """
-    arrays, meta = blobio.read_arrays(path)
-    if meta.get("kind") != "trialset":
-        raise blobio.BlobFormatError(f"manifest at {path} is not a trialset")
-    return TrialSet(
-        signals=arrays["signals"],
-        labels=np.array(meta["labels"], dtype=np.int64),
-        subject_ids=np.array(meta["subject_ids"], dtype=np.int64),
-        session_ids=np.array(meta["session_ids"], dtype=np.int64),
-        fs=float(meta["fs"]),
-    )
+    """Read back a TrialSet written by :func:`save_trialset`; the round
+    trip is exact."""
+    arrays, meta = blobio.read_arrays(path, "trialset")
+    return TrialSet(fs=float(meta["fs"]), **arrays)
 
 
 SPLIT_KINDS = ("subject_dependent", "subject_independent")

@@ -8,12 +8,14 @@ import json
 import re
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from specblend import cli, evalmetrics
+from specblend import blobio, cli, evalmetrics
 from specblend.cli import build_parser, main
 from specblend.config import load_config
-from specblend.evalmetrics import run_protocol
+from specblend.evalmetrics import predict_proba
+from specblend.fbcsp import transform_batch
 from specblend.trainer import write_train_log_csv
 from specblend.trialdata import (
     SynthSpec,
@@ -54,7 +56,7 @@ class TestSynth:
     def test_default_spec(self, tmp_path, capsys):
         code = main(["synth", "--out", str(tmp_path / "data")])
         assert code == 0
-        ts = load_trialset(tmp_path / "data" / "dataset.json")
+        ts = load_trialset(tmp_path / "data" / "dataset.npz")
         assert ts.n_trials == 2 * 2 * 2 * 50
         assert "wrote" in capsys.readouterr().out
 
@@ -66,14 +68,15 @@ class TestSynth:
         code = main(["synth", "--spec", str(spec),
                      "--out", str(tmp_path / "data")])
         assert code == 0
-        ts = load_trialset(tmp_path / "data" / "dataset.json")
+        ts = load_trialset(tmp_path / "data" / "dataset.npz")
         assert ts.n_trials == 1 * 2 * 2 * 3
         assert ts.n_samples == 100
 
     def test_hash_stamped_in_manifest(self, tmp_path):
         main(["synth", "--out", str(tmp_path / "data")])
-        doc = json.loads((tmp_path / "data" / "dataset.json").read_text())
-        assert len(doc["meta"]["config_hash"]) == 16
+        _, meta = blobio.read_arrays(tmp_path / "data" / "dataset.npz",
+                                     "trialset")
+        assert len(meta["config_hash"]) == 16
 
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
@@ -99,8 +102,7 @@ class TestTrain:
     def test_artifacts_exist(self, trained):
         _, tmp, _, doc = trained
         run = tmp / "run"
-        for name in ("transform_fold0.json", "transform_fold0.json.blob",
-                     "model_fold0.json", "model_fold0.json.blob",
+        for name in ("transform_fold0.npz", "model_fold0.npz",
                      "trainlog_fold0.csv", "curves_fold0.csv"):
             assert (run / name).exists(), name
 
@@ -110,9 +112,10 @@ class TestTrain:
         for name in ("trainlog_fold0.csv", "curves_fold0.csv"):
             first = (run / name).read_text().splitlines()[0]
             assert first.startswith("# config_hash=")
-        for name in ("transform_fold0.json", "model_fold0.json"):
-            doc = json.loads((run / name).read_text())
-            assert "config_hash" in doc["meta"]
+        for name, kind in (("transform_fold0.npz", "spectral_spatial_transform"),
+                           ("model_fold0.npz", "model-state")):
+            _, meta = blobio.read_arrays(run / name, kind)
+            assert "config_hash" in meta
 
     def test_fold_out_of_range_exits_2(self, trained, capsys):
         _, _, cfg_path, _ = trained
@@ -145,7 +148,7 @@ class TestTrain:
         _, tmp, cfg_path, _ = trained
         run = tmp / "run"
         code = main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(run / "model_fold0.json"),
+                     "--checkpoint", str(run / "model_fold0.npz"),
                      "--fold", "0"])
         assert code == 0
         doc = json.loads((run / "eval_fold0.json").read_text())
@@ -159,11 +162,27 @@ class TestTrain:
         _, tmp, cfg_path, _ = trained
         run = tmp / "run"
         code = main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(run / "model_fold0.json"),
-                     "--transform", str(run / "transform_fold0.json"),
+                     "--checkpoint", str(run / "model_fold0.npz"),
+                     "--transform", str(run / "transform_fold0.npz"),
                      "--fold", "1"])
         assert code == 3
         assert "fingerprint" in capsys.readouterr().err
+
+    def test_eval_checkpoint_of_another_fold_exits_3(self, trained,
+                                                     tmp_path, capsys):
+        """A checkpoint trained for fold 0 is refused on fold 1, even
+        with fold 1's own transform: fold 0's training set holds fold 1
+        trials."""
+        _, tmp, cfg_path, _ = trained
+        other_cfg, _ = mini_config(tmp_path)
+        assert main(["train", "--config", str(other_cfg), "--fold", "1"]) == 0
+        capsys.readouterr()
+        code = main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(tmp / "run" / "model_fold0.npz"),
+                     "--transform", str(tmp_path / "run" / "transform_fold1.npz"),
+                     "--fold", "1"])
+        assert code == 3
+        assert "trained for fold 0, not fold 1" in capsys.readouterr().err
 
     def test_eval_checkpoint_of_another_shape_exits_2(self, trained,
                                                       tmp_path, capsys):
@@ -173,42 +192,77 @@ class TestTrain:
         assert main(["train", "--config", str(small_cfg)]) == 0
         capsys.readouterr()
         code = main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(tmp_path / "run" / "model_fold0.json"),
-                     "--transform", str(tmp / "run" / "transform_fold0.json"),
+                     "--checkpoint", str(tmp_path / "run" / "model_fold0.npz"),
+                     "--transform", str(tmp / "run" / "transform_fold0.npz"),
                      "--fold", "0"])
         assert code == 2
         assert "enc_fc.weight" in capsys.readouterr().err
 
 
 class TestOneFoldPipeline:
-    def test_cli_fold_matches_protocol_fold(self, tmp_path):
-        """``train``/``eval --checkpoint`` on fold 1 reproduce fold 1 of
-        the protocol: the same train log, and the same test metrics as
-        the report that plain ``eval`` writes."""
-        cfg_path, _ = mini_config(tmp_path)
+    def _check_every_fold(self, tmp_path, monkeypatch, cfg_path):
+        """``train``/``eval --checkpoint`` on each fold reproduce that
+        fold of the protocol that plain ``eval`` runs: the same train
+        log, bit-identical test probabilities from the saved model and
+        transform, and the same test metrics in the report."""
         run = tmp_path / "run"
-        assert main(["train", "--config", str(cfg_path), "--fold", "1"]) == 0
-        assert main(["eval", "--config", str(cfg_path),
-                     "--checkpoint", str(run / "model_fold1.json"),
-                     "--fold", "1"]) == 0
-        assert main(["eval", "--config", str(cfg_path)]) == 0
-
         cfg = load_config(cfg_path)
         ts = cfg.load_dataset()
-        plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k,
-                           cfg.train.seed)
-        collect = []
-        run_protocol(ts, plan, cfg.train, bank=cfg.make_bank(ts.fs),
-                     collect=collect)
-        write_train_log_csv(collect[1].log, tmp_path / "protocol_log.csv",
-                            config_hash=cfg.config_hash())
-        assert ((run / "trainlog_fold1.csv").read_bytes()
-                == (tmp_path / "protocol_log.csv").read_bytes())
+        n_folds = len(make_splits(ts, cfg.protocol_kind, cfg.protocol_k,
+                                  cfg.train.seed).folds)
 
-        single = json.loads((run / "eval_fold1.json").read_text())["folds"]
+        def recorder(into, score_fold):
+            def record(model, xf, ts, fold):
+                into.append(predict_proba(
+                    model, transform_batch(xf, ts.select(fold.test))))
+                return score_fold(model, xf, ts, fold)
+            return record
+
+        saved = []
+        monkeypatch.setattr(cli, "score_fold", recorder(saved, cli.score_fold))
+        for k in range(n_folds):
+            assert main(["train", "--config", str(cfg_path),
+                         "--fold", str(k)]) == 0
+            assert main(["eval", "--config", str(cfg_path),
+                         "--checkpoint", str(run / f"model_fold{k}.npz"),
+                         "--fold", str(k)]) == 0
+
+        in_process, logs = [], []
+        monkeypatch.setattr(evalmetrics, "score_fold",
+                            recorder(in_process, evalmetrics.score_fold))
+        real_train = evalmetrics.train
+
+        def train(*args, **kwargs):
+            result = real_train(*args, **kwargs)
+            logs.append(result.log)
+            return result
+
+        monkeypatch.setattr(evalmetrics, "train", train)
+        assert main(["eval", "--config", str(cfg_path)]) == 0
+
         full = json.loads((run / "eval_report.json").read_text())["folds"]
-        for key in ("accuracy", "f1", "auc"):
-            assert single[0][key] == full[1][key], key
+        assert len(saved) == len(in_process) == len(logs) == len(full) == n_folds
+        for k in range(n_folds):
+            write_train_log_csv(logs[k], tmp_path / "protocol_log.csv",
+                                config_hash=cfg.config_hash())
+            assert ((run / f"trainlog_fold{k}.csv").read_bytes()
+                    == (tmp_path / "protocol_log.csv").read_bytes()), k
+            assert np.array_equal(saved[k], in_process[k]), k
+            single = json.loads((run / f"eval_fold{k}.json").read_text())["folds"]
+            for key in ("accuracy", "f1", "auc"):
+                assert single[0][key] == full[k][key], (k, key)
+
+    def test_cli_fold_matches_protocol_fold(self, tmp_path, monkeypatch):
+        cfg_path, _ = mini_config(tmp_path)
+        self._check_every_fold(tmp_path, monkeypatch, cfg_path)
+
+    def test_cli_fold_matches_protocol_fold_leave_one_subject_out(
+            self, tmp_path, monkeypatch):
+        cfg_path, doc = mini_config(
+            tmp_path, protocol={"kind": "subject_independent", "k": 2})
+        doc["data"]["synth"]["n_subjects"] = 2
+        cfg_path.write_text(json.dumps(doc))
+        self._check_every_fold(tmp_path, monkeypatch, cfg_path)
 
 
 class TestEvalProtocol:
@@ -379,6 +433,46 @@ class TestExitCodes:
         assert "config error" in err and "data.path" in err
 
 
+    @staticmethod
+    def _unreadable(tmp_path, how, other_kind):
+        """A path that fails to load: no such file, a leftover JSON
+        manifest, or ``other_kind``, a saved object of another kind."""
+        if how == "missing":
+            return tmp_path / "nope.npz"
+        if how == "old_manifest":
+            path = tmp_path / "old.json"
+            path.write_text('{"format": "float32-blob", "version": 1}')
+            return path
+        return other_kind
+
+    @pytest.mark.parametrize("how", ["missing", "old_manifest", "wrong_kind"])
+    def test_unreadable_data_path_exits_2(self, tmp_path, capsys, trained, how):
+        path = self._unreadable(tmp_path, how,
+                                trained[1] / "run" / "model_fold0.npz")
+        cfg_path, _ = mini_config(tmp_path, data={"path": str(path)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: data.path" in err and str(path) in err
+
+    @pytest.mark.parametrize("how", ["missing", "old_manifest", "wrong_kind"])
+    def test_unreadable_checkpoint_exits_2(self, tmp_path, capsys, trained, how):
+        _, tmp, cfg_path, _ = trained
+        path = self._unreadable(tmp_path, how, tmp / "run" / "transform_fold0.npz")
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(path), "--fold", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --checkpoint" in err and str(path) in err
+
+    @pytest.mark.parametrize("how", ["missing", "old_manifest", "wrong_kind"])
+    def test_unreadable_transform_exits_2(self, tmp_path, capsys, trained, how):
+        _, tmp, cfg_path, _ = trained
+        path = self._unreadable(tmp_path, how, tmp / "run" / "model_fold0.npz")
+        assert main(["eval", "--config", str(cfg_path),
+                     "--checkpoint", str(tmp / "run" / "model_fold0.npz"),
+                     "--transform", str(path), "--fold", "0"]) == 2
+        err = capsys.readouterr().err
+        assert "config error: --transform" in err and str(path) in err
+
 class TestReproducibility:
     def test_same_config_same_bytes(self, tmp_path):
         logs = []
@@ -389,6 +483,25 @@ class TestReproducibility:
             assert main(["train", "--config", str(cfg_path)]) == 0
             logs.append((sub / "run" / "trainlog_fold0.csv").read_bytes())
         assert logs[0] == logs[1]
+
+    def test_synth_and_train_write_identical_npz(self, tmp_path, monkeypatch):
+        """Two ``synth`` + ``train`` runs of one config write the same
+        bytes for every saved object."""
+        cfg_path, doc = mini_config(tmp_path)
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc["data"]["synth"]))
+        doc.update(output_dir="run", data={"path": "data/dataset.npz"})
+        cfg_path.write_text(json.dumps(doc))
+        saved = []
+        for name in ("one", "two"):
+            (tmp_path / name).mkdir()
+            monkeypatch.chdir(tmp_path / name)
+            assert main(["synth", "--spec", str(spec), "--out", "data"]) == 0
+            assert main(["train", "--config", str(cfg_path)]) == 0
+            saved.append([Path(p).read_bytes() for p in (
+                "data/dataset.npz", "run/model_fold0.npz",
+                "run/transform_fold0.npz")])
+        assert saved[0] == saved[1]
 
 
 def test_readme_lists_every_subcommand():

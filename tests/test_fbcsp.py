@@ -154,14 +154,15 @@ class TestSerialization:
     def test_round_trip(self, tmp_path):
         ts = small_set(seed=11)
         xf = fbcsp_fit(ts, BANK, u=4)
-        path = tmp_path / "transform.json"
+        path = tmp_path / "transform.npz"
         save_transform(xf, path)
         back = load_transform(path)
         assert back.u == xf.u
         assert back.fitted_on == xf.fitted_on
         assert back.bank.bands == xf.bank.bands
         for wa, wb in zip(xf.per_band_filters, back.per_band_filters):
-            np.testing.assert_allclose(wa, wb, rtol=1e-6)  # float32 storage
+            assert wa.dtype == wb.dtype == np.float64
+            np.testing.assert_array_equal(wa, wb)
 
 
 class TestOracleSeparability:

@@ -387,16 +387,17 @@ class TestExportCurves:
 
 
 class TestModelStateIO:
-    def test_roundtrip_close_to_float32(self, tmp_path):
+    def test_roundtrip_exact_float64(self, tmp_path):
         model = MultiTaskAE(TOY_DIMS, rng=np.random.default_rng(5))
         state = model.state_dict()
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.npz"
         save_model_state(path, state, meta={"note": "toy"})
         loaded, meta = load_model_state(path)
         assert meta["kind"] == "model-state" and meta["note"] == "toy"
         assert set(loaded) == set(state)
         for k in state:
-            assert np.allclose(loaded[k], state[k], rtol=0, atol=1e-6)
+            assert state[k].dtype == loaded[k].dtype == np.float64, k
+            assert np.array_equal(loaded[k], state[k]), k
 
     def test_rejects_other_manifests(self, tmp_path):
         from specblend import blobio

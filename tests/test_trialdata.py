@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from specblend.blobio import BlobFormatError
 from specblend.trialdata import (
     Fold,
     SplitPlan,
@@ -106,7 +107,7 @@ class TestGenerateSynthetic:
 class TestTrialsetIO:
     def test_round_trip_bitwise(self, tmp_path):
         ts = generate_synthetic(SMALL)
-        path = tmp_path / "data.json"
+        path = tmp_path / "data.npz"
         save_trialset(ts, path)
         back = load_trialset(path)
         assert back.signals.tobytes() == ts.signals.tobytes()
@@ -116,14 +117,13 @@ class TestTrialsetIO:
         assert back.fs == ts.fs
 
     def test_size_mismatch_detected(self, tmp_path):
+        """A file cut short by one trial's bytes is refused."""
         ts = generate_synthetic(SMALL)
-        path = tmp_path / "data.json"
+        path = tmp_path / "data.npz"
         save_trialset(ts, path)
-        blob = tmp_path / "data.json.blob"
-        raw = blob.read_bytes()
-        # drop one trial's worth of bytes
-        blob.write_bytes(raw[: len(raw) - ts.n_channels * ts.n_samples * 4])
-        with pytest.raises(Exception, match="size mismatch"):
+        raw = path.read_bytes()
+        path.write_bytes(raw[: len(raw) - ts.n_channels * ts.n_samples * 4])
+        with pytest.raises(BlobFormatError, match="data.npz is a damaged .npz archive"):
             load_trialset(path)
 
 
