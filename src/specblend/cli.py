@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import copy
-import hashlib
 import itertools
 import json
 import sys
@@ -27,8 +26,10 @@ from .blobio import BlobFormatError
 from .config import (
     ConfigError,
     RunConfig,
+    canonical_hash,
     load_config,
     parse_synth_doc,
+    read_json_object,
     synth_resolved,
 )
 from .evalmetrics import (
@@ -44,12 +45,7 @@ from .evalmetrics import (
 )
 from .fbcsp import load_transform, save_transform
 from .model import MultiTaskAE
-from .trainer import (
-    export_curves_csv,
-    load_model_state,
-    save_model_state,
-    write_train_log_csv,
-)
+from .trainer import load_model_state, save_model_state, write_train_log_csv
 from .trialdata import generate_synthetic, make_splits, save_trialset
 
 
@@ -87,24 +83,10 @@ def _outdir(cfg: RunConfig) -> Path:
 
 
 def cmd_synth(args) -> int:
-    if args.spec is not None:
-        try:
-            with open(args.spec, "r", encoding="utf-8") as fh:
-                doc = json.load(fh)
-        except OSError as exc:
-            raise ConfigError(f"cannot read spec {args.spec}: {exc}")
-        except json.JSONDecodeError as exc:
-            raise ConfigError(
-                f"malformed JSON at line {exc.lineno} column "
-                f"{exc.colno}: {exc.msg}")
-        if not isinstance(doc, dict):
-            raise ConfigError("synth spec root must be a JSON object")
-    else:
-        doc = {}
+    doc = ({} if args.spec is None
+           else read_json_object(args.spec, "synth spec", "spec"))
     spec = parse_synth_doc(doc, where="synth spec")
-    canon = json.dumps(synth_resolved(spec), sort_keys=True,
-                       separators=(",", ":"))
-    spec_hash = hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+    spec_hash = canonical_hash(synth_resolved(spec))
     ts = generate_synthetic(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -133,8 +115,6 @@ def cmd_train(args) -> int:
                            "n_classes": dims.n_classes})
     write_train_log_csv(result.log, out / f"trainlog_fold{args.fold}.csv",
                         config_hash=chash)
-    export_curves_csv(result.log, out / f"curves_fold{args.fold}.csv",
-                      config_hash=chash)
     last = result.log.rows[-1]
     auc = "NA" if row.auc is None else f"{row.auc:.4f}"
     print(f"fold {args.fold}: stopped at epoch {result.log.stopped_epoch}, "

@@ -38,8 +38,7 @@ class ConfigError(ValueError):
     """Invalid run configuration (maps to CLI exit code 2)."""
 
 
-# SynthSpec's mixing vectors are not settable from a document.
-_SYNTH_KEYS = tuple(f.name for f in fields(SynthSpec) if f.name != "mixing")
+_SYNTH_SPECS = {f.name: f for f in fields(SynthSpec)}
 
 # Document place (section, key) of every TrainConfig field; section None
 # is the top level.
@@ -58,7 +57,7 @@ _TRAIN_FIELDS = {
 _TRAIN_SPECS = {f.name: f for f in fields(TrainConfig)}
 # JSON types accepted per annotation; floats also take JSON integers.
 _JSON_TYPES = {"int": int, "Optional[int]": int, "float": (int, float),
-               "str": str}
+               "str": str, "tuple": (list, tuple)}
 
 _SECTIONS = {"data": {"path", "synth"}, "fbcsp": {"bands", "order"},
              "model": set(), "blend": set(), "train": set(),
@@ -80,24 +79,32 @@ def _check_keys(section: dict, allowed, where: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {where}")
 
 
+def _typed(value, types, where: str):
+    if not isinstance(value, types) or isinstance(value, bool):
+        raise ConfigError(f"{where} has invalid type")
+    return value
+
+
 def _get(section: dict, key: str, default, types, where: str):
     value = section.get(key, default)
     if value is None and default is None:
         return None
-    if not isinstance(value, types) or isinstance(value, bool):
-        raise ConfigError(f"{where}.{key} has invalid type")
-    return value
+    return _typed(value, types, f"{where}.{key}")
+
+
+def _floats(values, where: str) -> tuple:
+    """JSON numbers (not booleans) as a tuple of floats."""
+    return tuple(float(_typed(v, _JSON_TYPES["float"], f"{where}[{i}]"))
+                 for i, v in enumerate(values))
 
 
 def parse_synth_doc(doc: dict, where: str = "data.synth") -> SynthSpec:
-    """Build a SynthSpec from a JSON object, rejecting unknown keys."""
-    _check_keys(doc, _SYNTH_KEYS, where)
-    kwargs = dict(doc)
-    if "class_freqs" in kwargs:
-        freqs = kwargs["class_freqs"]
-        if not isinstance(freqs, (list, tuple)):
-            raise ConfigError(f"{where}.class_freqs must be a list")
-        kwargs["class_freqs"] = tuple(float(f) for f in freqs)
+    """Build a SynthSpec from a JSON object, rejecting unknown keys and
+    values of the wrong JSON type."""
+    _check_keys(doc, _SYNTH_SPECS, where)
+    kwargs = {key: _get(doc, key, spec.default, _JSON_TYPES[spec.type], where)
+              for key, spec in _SYNTH_SPECS.items()}
+    kwargs["class_freqs"] = _floats(kwargs["class_freqs"], f"{where}.class_freqs")
     try:
         return SynthSpec(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -106,7 +113,7 @@ def parse_synth_doc(doc: dict, where: str = "data.synth") -> SynthSpec:
 
 def synth_resolved(spec: SynthSpec) -> dict:
     """Canonical JSON form of a synthetic-data spec."""
-    doc = {key: getattr(spec, key) for key in _SYNTH_KEYS}
+    doc = {key: getattr(spec, key) for key in _SYNTH_SPECS}
     doc["class_freqs"] = list(spec.class_freqs)
     return doc
 
@@ -166,7 +173,8 @@ class RunConfig:
                 or not all(isinstance(b, (list, tuple)) and len(b) == 2
                            for b in raw_bands)):
             raise ConfigError("fbcsp.bands must be a list of [low, high]")
-        bands = tuple((float(lo), float(hi)) for lo, hi in raw_bands)
+        bands = tuple(_floats(b, f"fbcsp.bands[{i}]")
+                      for i, b in enumerate(raw_bands))
 
         protocol = sections["protocol"]
         protocol_kind = _get(protocol, "kind", "subject_dependent", str,
@@ -204,8 +212,7 @@ class RunConfig:
         identical runs share a hash."""
         doc = self.resolved()
         doc.pop("output_dir")
-        canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-        return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+        return canonical_hash(doc)
 
     def make_bank(self, fs: float):
         return make_filter_bank(fs, bands=self.bands, order=self.order)
@@ -219,7 +226,14 @@ class RunConfig:
         return generate_synthetic(self.synth)
 
 
-def parse_config_text(text: str) -> RunConfig:
+def canonical_hash(doc: dict) -> str:
+    """First 16 hex digits of the SHA-256 of ``doc`` as sorted, compact
+    JSON: the hash stamped into every output file."""
+    canon = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
+
+
+def _json_object(text: str, what: str) -> dict:
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -227,14 +241,24 @@ def parse_config_text(text: str) -> RunConfig:
             f"malformed JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
     if not isinstance(doc, dict):
-        raise ConfigError("config root must be a JSON object")
-    return RunConfig.from_dict(doc)
+        raise ConfigError(f"{what} root must be a JSON object")
+    return doc
 
 
-def load_config(path) -> RunConfig:
+def read_json_object(path, what: str, short: str) -> dict:
+    """The JSON object in the file ``path``; ``what`` names it in the
+    error messages, ``short`` when the file cannot be read."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    return parse_config_text(text)
+        raise ConfigError(f"cannot read {short} {path}: {exc}") from exc
+    return _json_object(text, what)
+
+
+def parse_config_text(text: str) -> RunConfig:
+    return RunConfig.from_dict(_json_object(text, "config"))
+
+
+def load_config(path) -> RunConfig:
+    return RunConfig.from_dict(read_json_object(path, "config", "config"))

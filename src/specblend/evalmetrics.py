@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 from scipy.stats import rankdata
@@ -106,7 +106,6 @@ class EvalReport:
     k: int
     seed: int
     rows: List[FoldMetrics] = field(default_factory=list)
-    config_hash: Optional[str] = None
 
     def per_subject(self) -> Dict[int, Tuple[float, float, Optional[float]]]:
         """Unweighted fold means per subject."""
@@ -272,10 +271,9 @@ def run_protocol(ts: TrialSet, plan: SplitPlan, config: TrainConfig,
 
 def write_report_csv(report: EvalReport, path,
                      config_hash: Optional[str] = None) -> None:
-    ch = config_hash if config_hash is not None else report.config_hash
     lines = []
-    if ch is not None:
-        lines.append(f"# config_hash={ch}")
+    if config_hash is not None:
+        lines.append(f"# config_hash={config_hash}")
     lines.append("subject,fold,n_test,accuracy,f1,auc")
     for r in report.rows:
         auc = "NA" if r.auc is None else repr(r.auc)
@@ -292,12 +290,11 @@ def write_report_csv(report: EvalReport, path,
 
 def write_report_json(report: EvalReport, path,
                       config_hash: Optional[str] = None) -> None:
-    ch = config_hash if config_hash is not None else report.config_hash
     doc = {
         "kind": report.kind,
         "k": report.k,
         "seed": report.seed,
-        "config_hash": ch,
+        "config_hash": config_hash,
         "folds": [
             {"subject": r.subject, "fold": r.fold, "n_test": r.n_test,
              "accuracy": r.accuracy, "f1": r.f1, "auc": r.auc}

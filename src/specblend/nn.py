@@ -10,10 +10,12 @@ and ``_correlate_adjoint`` (its adjoint in the input), with
 width, one small matrix product per frequency across the channels, and
 an irfft; the rfft is long enough that no tap wraps round, the same
 padding is folded into where the kernel sits, and the stride is
-decimation of the output or zero insertion into the input.  ``Conv``
-runs the pair forward, ``ConvTranspose`` runs it with the passes
-swapped; ``Conv.backward_params`` is the backward without the input
-gradient, for a first layer whose input is data.  Every layer caches
+decimation of the output or zero insertion into the input.  One layer,
+``_Correlation``, owns that pair, always from the wide width to the
+narrow one: ``Conv`` runs the correlation forward and its adjoint for
+the input gradient, ``ConvTranspose`` (``transposed``) the other way
+round.  ``backward_params`` is the backward without the input gradient,
+for a first layer whose input is data.  Every layer caches
 its forward input or activations, never a spectrum, and implements an
 exact reverse-mode backward; all math is float64 so finite-difference
 checks are meaningful.  The height dimension stays literal (always 1)
@@ -148,10 +150,12 @@ class Layer:
 
 
 class _Correlation(Layer):
-    """Set-up shared by :class:`Conv` and :class:`ConvTranspose`: a glorot
-    kernel held (kw, a, c) for the correlation from a to c channels, a
-    bias over the c_out output channels, and one memo of the kernel
-    spectrum for inference."""
+    """A convolution along the width axis, kernel height 1, same padding:
+    one correlation from the wide width to the narrow one, ceil(wide /
+    stride), run as the layer's forward or as its input gradient.  The
+    kernel is a glorot draw held (kw, a, c) for the correlation from a to
+    c channels, the bias is over the c_out output channels, and inference
+    memoizes the kernel spectrum."""
 
     transposed = False
 
@@ -170,15 +174,12 @@ class _Correlation(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
         self._memo = None
 
-    def _input(self, x):
-        x = np.asarray(x, dtype=np.float64)
-        _check_tensor4(x)
-        if x.shape[3] != self.c_in:
-            raise ValueError(f"input has {x.shape[3]} channels, layer expects {self.c_in}")
-        return x
-
-    def _plan(self, w_in):
-        return _plan(w_in, self.params["kernel"].shape[0], self.stride)
+    def _geometry(self, w_in):
+        """Output width, rfft length and left pad for input width w_in;
+        the plan is that of the wide side."""
+        w_out = w_in * self.stride if self.transposed else -(-w_in // self.stride)
+        return (w_out,) + _plan(max(w_in, w_out), self.params["kernel"].shape[0],
+                                self.stride)
 
     def _spectrum(self, n, left, train):
         """The kernel spectrum.  Inference memoizes it against a copy of
@@ -194,27 +195,23 @@ class _Correlation(Layer):
             self._memo = ((n, left), kernel.copy(), _kernel_spectrum(kernel, n, left))
         return self._memo[2]
 
-
-class Conv(_Correlation):
-    """Cross-correlation along the width axis, kernel height 1, same
-    padding.  Output width = ceil(width / stride).  The kernel is
-    (kw, c_in, c_out)."""
-
     def forward(self, x, train=True):
-        x = self._input(x)
-        b, _, w_in, _ = x.shape
-        w_out = -(-w_in // self.stride)
-        n, left = self._plan(w_in)
-        y = _correlate(x[:, 0], self._spectrum(n, left, train), n, self.stride, w_out)
+        x = np.asarray(x, dtype=np.float64)
+        _check_tensor4(x)
+        if x.shape[3] != self.c_in:
+            raise ValueError(f"input has {x.shape[3]} channels, layer expects {self.c_in}")
+        w_out, n, left = self._geometry(x.shape[2])
+        run = _correlate_adjoint if self.transposed else _correlate
+        y = run(x[:, 0], self._spectrum(n, left, train), n, self.stride, w_out)
         if train:
             self._cache = x
-        return (y + self.params["bias"]).reshape(b, 1, w_out, self.c_out)
+        return (y + self.params["bias"])[:, np.newaxis]
 
     def backward(self, dy):
-        x, dy = self._param_grads(dy)
-        n, left = self._plan(x.shape[2])
-        kspec = _kernel_spectrum(self.params["kernel"], n, left)
-        dx = _correlate_adjoint(dy, kspec, n, self.stride, x.shape[2])
+        x, dy, n, left = self._param_grads(dy)
+        run = _correlate if self.transposed else _correlate_adjoint
+        dx = run(dy, _kernel_spectrum(self.params["kernel"], n, left), n,
+                 self.stride, x.shape[2])
         return dx[:, np.newaxis]
 
     def backward_params(self, dy):
@@ -226,43 +223,26 @@ class Conv(_Correlation):
     def _param_grads(self, dy):
         x = self._take_cache()
         dy = np.asarray(dy, dtype=np.float64)[:, 0]
-        n, left = self._plan(x.shape[2])
+        _, n, left = self._geometry(x.shape[2])
+        wide, narrow = (dy, x[:, 0]) if self.transposed else (x[:, 0], dy)
         self.grads["bias"] += dy.sum(axis=(0, 1))
-        self.grads["kernel"] += _kernel_grad(x[:, 0], dy, n, left, self.stride,
+        # the kernel gradient before dx, so its spectra are freed first
+        self.grads["kernel"] += _kernel_grad(wide, narrow, n, left, self.stride,
                                              self.params["kernel"].shape[0])
-        return x, dy
+        return x, dy, n, left
+
+
+class Conv(_Correlation):
+    """Cross-correlation along the width axis: output width = ceil(width /
+    stride), kernel (kw, c_in, c_out)."""
 
 
 class ConvTranspose(_Correlation):
     """Transposed convolution: the exact adjoint of :class:`Conv` with
     the same kernel, mapping width w to w * stride.  The kernel is held
-    as that Conv holds it, (kw, c_out, c_in), and the correlation pair
-    runs with its passes swapped."""
+    as that Conv holds it, (kw, c_out, c_in)."""
 
     transposed = True
-
-    def forward(self, x, train=True):
-        x = self._input(x)
-        w_up = x.shape[2] * self.stride
-        n, left = self._plan(w_up)
-        y = _correlate_adjoint(x[:, 0], self._spectrum(n, left, train), n,
-                               self.stride, w_up)
-        if train:
-            self._cache = x
-        return (y + self.params["bias"])[:, np.newaxis]
-
-    def backward(self, dy):
-        x = self._take_cache()
-        dy = np.asarray(dy, dtype=np.float64)[:, 0]
-        w_in = x.shape[2]
-        n, left = self._plan(dy.shape[1])
-        kernel = self.params["kernel"]
-        self.grads["bias"] += dy.sum(axis=(0, 1))
-        # the kernel gradient first, so its spectra are freed before dx
-        self.grads["kernel"] += _kernel_grad(dy, x[:, 0], n, left, self.stride,
-                                             kernel.shape[0])
-        dx = _correlate(dy, _kernel_spectrum(kernel, n, left), n, self.stride, w_in)
-        return dx[:, np.newaxis]
 
 
 class BatchNorm(Layer):

@@ -9,16 +9,15 @@ single step) it hands the checkpoint's train and validation losses to
 the new weights, and appends a ``CheckpointRow`` to the ``TrainLog``;
 once per epoch it applies the learning-rate plateau rule and the
 early-stopping rule to the monitored validation loss.  The log's rows
-are the loss history that everything outside the blend reads: both CSV
-writers below work from them.
+are the loss history that everything outside the blend reads, and
+``write_train_log_csv`` writes them out.
 """
 
 from __future__ import annotations
 
-import csv
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -392,22 +391,6 @@ def write_train_log_csv(log: TrainLog, path, config_hash: Optional[str] = None,
                  f"stopped_epoch={log.stopped_epoch}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
-
-
-def export_curves_csv(log: TrainLog, path, config_hash: Optional[str] = None,
-                      ) -> None:
-    """Write the long-format curve/weight table from the log's rows,
-    task-major.  Columns: checkpoint, task, train_loss, val_loss and the
-    weight computed at that checkpoint, the last three as ``%.10g``."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        if config_hash is not None:
-            fh.write(f"# config_hash={config_hash}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["checkpoint", "task", "train_loss", "val_loss", "weight"])
-        for m in range(3):
-            for r in log.rows:
-                writer.writerow([r.checkpoint, m, f"{r.train_losses[m]:.10g}",
-                                 f"{r.val_losses[m]:.10g}", f"{r.weights[m]:.10g}"])
 
 
 def save_model_state(path, state: Dict[str, np.ndarray],

@@ -107,7 +107,6 @@ class SynthSpec:
     fs: float = 100.0
     duration: float = 4.0
     class_freqs: tuple = (10.0, 22.0)
-    mixing: tuple = None  # per-class base mixing vectors, rows of len n_channels
     noise_std: float = 1.0
     seed: int = 0
 
@@ -128,11 +127,6 @@ class SynthSpec:
         n_samp = self.fs * self.duration
         if abs(n_samp - round(n_samp)) > 1e-9 or round(n_samp) < 1:
             raise ValueError("duration * fs must be a positive integer")
-        if self.mixing is not None:
-            mix = tuple(tuple(float(v) for v in row) for row in self.mixing)
-            if len(mix) != 2 or any(len(row) != self.n_channels for row in mix):
-                raise ValueError("mixing must be two rows of length n_channels")
-            object.__setattr__(self, "mixing", mix)
 
     @property
     def n_samples(self):
@@ -152,11 +146,7 @@ def subject_mixing_vectors(spec, subject):
     The subject's random rotation is applied to the base mixing rows;
     exposed so tests can predict per-channel amplitudes exactly.
     """
-    base = (
-        np.asarray(spec.mixing, dtype=np.float64)
-        if spec.mixing is not None
-        else _default_mixing(spec.n_channels)
-    )
+    base = _default_mixing(spec.n_channels)
     rot_rng = np.random.default_rng([spec.seed, subject, 0])
     q, r = np.linalg.qr(rot_rng.standard_normal((spec.n_channels, spec.n_channels)))
     q = q * np.sign(np.diag(r))  # fix the sign ambiguity of QR

@@ -78,6 +78,19 @@ class TestSynth:
                                      "trialset")
         assert len(meta["config_hash"]) == 16
 
+    def test_pinned_spec_hash(self, tmp_path):
+        """The spec hash is the canonical-JSON hash of the resolved spec,
+        a JSON integer duration kept as an integer."""
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(
+            {"n_subjects": 1, "trials_per_class_per_session": 3,
+             "duration": 1, "n_channels": 4}))
+        assert main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "data")]) == 0
+        _, meta = blobio.read_arrays(tmp_path / "data" / "dataset.npz",
+                                     "trialset")
+        assert meta["config_hash"] == "eb96321a91a0723f"
+
     def test_bad_spec_exits_2(self, tmp_path, capsys):
         spec = tmp_path / "spec.json"
         spec.write_text('{"n_channels": 1}')
@@ -103,15 +116,14 @@ class TestTrain:
         _, tmp, _, doc = trained
         run = tmp / "run"
         for name in ("transform_fold0.npz", "model_fold0.npz",
-                     "trainlog_fold0.csv", "curves_fold0.csv"):
+                     "trainlog_fold0.csv"):
             assert (run / name).exists(), name
 
     def test_hash_on_every_output(self, trained):
         _, tmp, _, _ = trained
         run = tmp / "run"
-        for name in ("trainlog_fold0.csv", "curves_fold0.csv"):
-            first = (run / name).read_text().splitlines()[0]
-            assert first.startswith("# config_hash=")
+        first = (run / "trainlog_fold0.csv").read_text().splitlines()[0]
+        assert first.startswith("# config_hash=")
         for name, kind in (("transform_fold0.npz", "spectral_spatial_transform"),
                            ("model_fold0.npz", "model-state")):
             _, meta = blobio.read_arrays(run / name, kind)
@@ -123,26 +135,14 @@ class TestTrain:
         assert code == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_curves_rows_are_the_train_log_rows(self, trained):
-        """Every ``curves_fold0.csv`` cell is the matching
-        ``trainlog_fold0.csv`` value written with ``%.10g``, task-major,
-        and the run reaches checkpoints past the warm-up."""
+    def test_train_log_leaves_the_warm_up(self, trained):
+        """``trainlog_fold0.csv`` reaches checkpoints past the warm-up,
+        where the blend weights differ."""
         run = trained[1] / "run"
         log_lines = (run / "trainlog_fold0.csv").read_text().splitlines()
         log = [dict(zip(log_lines[1].split(","), line.split(",")))
                for line in log_lines[2:-1]]
         assert any(r["w_mse"] != r["w_ce"] for r in log), "never left the warm-up"
-        curve_lines = (run / "curves_fold0.csv").read_text().splitlines()
-        assert curve_lines[0] == log_lines[0]
-        assert curve_lines[1] == "checkpoint,task,train_loss,val_loss,weight"
-        expected = []
-        for m, task in enumerate(("mse", "triplet", "ce")):
-            for r in log:
-                expected.append(",".join(
-                    [r["checkpoint"], str(m)]
-                    + [f"{float(r[col]):.10g}"
-                       for col in (f"train_{task}", f"val_{task}", f"w_{task}")]))
-        assert curve_lines[2:] == expected
 
     def test_eval_checkpoint_roundtrip(self, trained, capsys):
         _, tmp, cfg_path, _ = trained
@@ -364,6 +364,16 @@ class TestExitCodes:
     def test_missing_config_file(self, tmp_path):
         assert main(["train", "--config",
                      str(tmp_path / "nope.json")]) == 2
+
+    def test_synth_spec_of_wrong_type_exits_2(self, tmp_path, capsys):
+        """A fractional subject count is a config error, caught before
+        any trial is generated."""
+        spec = tmp_path / "spec.json"
+        spec.write_text('{"n_subjects": 2.5}')
+        assert main(["synth", "--spec", str(spec),
+                     "--out", str(tmp_path / "d")]) == 2
+        assert "synth spec.n_subjects has invalid type" in capsys.readouterr().err
+        assert not (tmp_path / "d").exists()
 
     def test_dataset_labelled_1_2_exits_2(self, tmp_path, capsys):
         ts = generate_synthetic(SynthSpec(

@@ -2,6 +2,7 @@
 canonical hash."""
 
 import json
+import re
 
 import pytest
 
@@ -113,6 +114,15 @@ class TestStrictKeys:
         with pytest.raises(ConfigError, match="bands"):
             RunConfig.from_dict({"fbcsp": {"bands": [[4, 8, 12]]}})
 
+    @pytest.mark.parametrize("band", [["a", 8], [None, 8], [True, 8],
+                                      ["4", "8"]])
+    def test_band_edges_must_be_numbers(self, band):
+        """Strings, nulls and booleans are not band edges; nothing is
+        coerced."""
+        with pytest.raises(ConfigError,
+                           match=r"fbcsp.bands\[1\]\[0\] has invalid type"):
+            RunConfig.from_dict({"fbcsp": {"bands": [[4, 8], band]}})
+
     def test_bad_monitor(self):
         with pytest.raises(ConfigError, match="monitor"):
             RunConfig.from_dict({"train": {"monitor": "loss"}})
@@ -223,3 +233,28 @@ class TestSynthDoc:
     def test_unknown_key(self):
         with pytest.raises(ConfigError, match="mixing"):
             parse_synth_doc({"mixing": []})
+
+    def test_integer_floats_keep_their_hash(self):
+        """The type check coerces nothing: JSON integers for the float
+        synth fields stay integers in the resolved spec and its hash."""
+        doc = {"data": {"synth": {"fs": 100, "duration": 4, "noise_std": 1,
+                                  "class_freqs": [9, 21]}}}
+        assert RunConfig.from_dict(doc).config_hash() == "824f8c2b1519c507"
+
+    @pytest.mark.parametrize("doc, fragment", [
+        ({"class_freqs": ["x", 22]}, "class_freqs[0]"),
+        ({"class_freqs": [10, True]}, "class_freqs[1]"),
+        ({"class_freqs": 10}, "class_freqs"),
+        ({"n_subjects": 2.5}, "n_subjects"),
+        ({"seed": "a"}, "seed"),
+        ({"seed": None}, "seed"),
+        ({"trials_per_class_per_session": True}, "trials_per_class_per_session"),
+        ({"fs": "100"}, "fs"),
+        ({"noise_std": False}, "noise_std"),
+    ])
+    def test_wrong_json_type_rejected(self, doc, fragment):
+        """Every SynthSpec field is type-checked against its annotation,
+        booleans rejected, before the spec is built."""
+        message = f"data.synth.{fragment} has invalid type"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            RunConfig.from_dict({"data": {"synth": doc}})

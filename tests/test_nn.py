@@ -210,12 +210,13 @@ class TestConv:
         layer = nn.Conv(4, 3, kw, stride=stride, rng=rng)
         fd_check_layer(layer, rng.standard_normal((3, 1, width, 4)), seed=kw)
 
-    def test_backward_params_matches_backward(self):
+    @pytest.mark.parametrize("cls", [nn.Conv, nn.ConvTranspose])
+    def test_backward_params_matches_backward(self, cls):
         """The parameter half accumulates exactly the gradients of the full
-        backward and returns nothing."""
+        backward and returns nothing, for either direction."""
         rng = np.random.default_rng(14)
-        full = nn.Conv(4, 3, 5, stride=2, rng=np.random.default_rng(15))
-        half = nn.Conv(4, 3, 5, stride=2, rng=np.random.default_rng(15))
+        full = cls(4, 3, 5, stride=2, rng=np.random.default_rng(15))
+        half = cls(4, 3, 5, stride=2, rng=np.random.default_rng(15))
         x = rng.standard_normal((3, 1, 9, 4))
         dy = rng.standard_normal(full.forward(x).shape)
         half.forward(x)

@@ -9,13 +9,10 @@ from specblend.losses import weighted_total
 from specblend.model import ModelDims, MultiTaskAE
 from specblend.trainer import (
     Adam,
-    CheckpointRow,
     PlateauController,
     TrainConfig,
-    TrainLog,
     _batch_plan,
     epoch_plan,
-    export_curves_csv,
     load_model_state,
     save_model_state,
     train,
@@ -350,40 +347,6 @@ class TestReproducibility:
         assert len(lines) == 2 + len(result.log.rows) + 1
         first = lines[2].split(",")
         assert first[0] == "0" and first[1] == "0"
-
-
-class TestExportCurves:
-    def test_csv_round_trip(self, tmp_path):
-        weights = {1: (1 / 3, 1 / 3, 1 / 3), 2: (0.5, 0.25, 0.25)}
-        log = TrainLog(rows=[
-            CheckpointRow(checkpoint=n, epoch=0, lr=1e-3, weights=weights[n],
-                          train_losses=(10.0 - n,) * 3,
-                          val_losses=(10.0 - 0.5 * n,) * 3, val_total=0.0)
-            for n in (1, 2)])
-        path = tmp_path / "curves.csv"
-        export_curves_csv(log, path, config_hash="abc123")
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "# config_hash=abc123"
-        assert lines[1] == "checkpoint,task,train_loss,val_loss,weight"
-        assert len(lines) == 2 + 3 * 2
-        first = lines[2].split(",")
-        assert first[0] == "1" and first[1] == "0"
-        assert float(first[4]) == pytest.approx(1 / 3)
-
-    def test_task_major_rows_with_csv_line_ends(self, tmp_path):
-        log = TrainLog(rows=[
-            CheckpointRow(checkpoint=n, epoch=n // 2, lr=1e-3,
-                          weights=(0.2, 0.3, 0.5),
-                          train_losses=(1.0 / n, 2.0 / n, 3.0 / n),
-                          val_losses=(1.5 / n, 2.5 / n, 3.5 / n), val_total=0.0)
-            for n in (1, 3)])
-        path = tmp_path / "curves.csv"
-        export_curves_csv(log, path)
-        assert path.read_bytes() == (
-            b"checkpoint,task,train_loss,val_loss,weight\r\n"
-            b"1,0,1,1.5,0.2\r\n3,0,0.3333333333,0.5,0.2\r\n"
-            b"1,1,2,2.5,0.3\r\n3,1,0.6666666667,0.8333333333,0.3\r\n"
-            b"1,2,3,3.5,0.5\r\n3,2,1,1.166666667,0.5\r\n")
 
 
 class TestModelStateIO:
