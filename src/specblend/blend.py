@@ -87,7 +87,6 @@ class BlendState:
     warmup: int = 10
     window: int = 3
     exponent: float = 2.0
-    eps: float = O_FLOOR
     weights: np.ndarray = None
     refs: list = None
     checkpoints: list = field(default_factory=list)
@@ -142,12 +141,12 @@ def compute_G(ref, tan_val):
     return max(tan_val - ref.tan_val, 0.0)
 
 
-def compute_O(ref, tan_train, tan_val, eps):
+def compute_O(ref, tan_train, tan_val):
     """Overfitting measure: growth of the validation-train tangent gap
-    since the reference, floored at ``eps``."""
+    since the reference, floored at ``O_FLOOR``."""
     gap_now = tan_val - tan_train
     gap_ref = ref.tan_val - ref.tan_train
-    return max(gap_now - gap_ref, eps)
+    return max(gap_now - gap_ref, O_FLOOR)
 
 
 def update_weights(state, n, train_losses, val_losses):
@@ -175,7 +174,7 @@ def update_weights(state, n, train_losses, val_losses):
             raise MissingReferenceError(f"task {m} has no usable reference tangent")
         tan_train, tan_val = state.tangents(m)
         raw[m] = (compute_G(ref, tan_val)
-                  / compute_O(ref, tan_train, tan_val, state.eps) ** state.exponent)
+                  / compute_O(ref, tan_train, tan_val) ** state.exponent)
         if ref.tan_val > tan_val:
             state.refs[m] = TaskReference(n0=n, tan_train=tan_train, tan_val=tan_val)
     z = raw.sum()

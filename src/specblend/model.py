@@ -129,7 +129,11 @@ def mine_semi_hard_triplets(latents, labels, margin):
 
 
 class MultiTaskAE:
-    """Encoder/decoder/classifier sharing one latent space."""
+    """Encoder/decoder/classifier sharing one latent space.
+
+    :meth:`encode`, :meth:`decode` and :meth:`backward` are the model's
+    edge: they cast to float64 once, and no layer below them casts.
+    """
 
     def __init__(self, dims, rng=None):
         rng = rng or np.random.default_rng()
@@ -180,7 +184,7 @@ class MultiTaskAE:
         return z
 
     def classify_logits(self, latent, train=True):
-        z = np.asarray(latent, dtype=np.float64)
+        z = latent
         for _, layer in self.classifier:
             z = layer.forward(z, train=train)
         return z

@@ -17,9 +17,11 @@ the input gradient, ``ConvTranspose`` (``transposed``) the other way
 round.  ``backward_params`` is the backward without the input gradient,
 for a first layer whose input is data.  Every layer caches
 its forward input or activations, never a spectrum, and implements an
-exact reverse-mode backward; all math is float64 so finite-difference
-checks are meaningful.  The height dimension stays literal (always 1)
-to keep shapes aligned with the architecture table.
+exact reverse-mode backward.  No layer casts: each keeps its input's
+dtype, promoted only by its parameters', and the model casts once at its
+edge (to float64, so finite-difference checks are meaningful).  The
+height dimension stays literal (always 1) to keep shapes aligned with
+the architecture table.
 """
 
 from __future__ import annotations
@@ -38,13 +40,11 @@ def glorot_uniform(rng, shape, fan_in, fan_out):
 
 def elu(x):
     """y = x for x > 0, e^x - 1 otherwise (alpha = 1)."""
-    x = np.asarray(x, dtype=np.float64)
     return np.where(x > 0, x, np.expm1(x))
 
 
 def softmax(v):
     """Row-wise softmax with max subtraction; rows sum to 1."""
-    v = np.asarray(v, dtype=np.float64)
     shifted = v - v.max(axis=-1, keepdims=True)
     e = np.exp(shifted)
     return e / e.sum(axis=-1, keepdims=True)
@@ -69,7 +69,7 @@ def _rfft(x, n, stride=1):
     """Spectrum (B, n//2+1, a) of the (B, w, a) rows of ``x`` set
     ``stride`` samples apart, zeros between them."""
     if stride > 1:
-        spread = np.zeros((x.shape[0], n, x.shape[2]))
+        spread = np.zeros((x.shape[0], n, x.shape[2]), dtype=x.dtype)
         spread[:, : (x.shape[1] - 1) * stride + 1 : stride] = x
         x = spread
     return fft.rfft(x, n, axis=1)
@@ -82,7 +82,7 @@ def _irfft(spec, n, stride, width):
 
 def _mix(spec, m):
     """Per frequency, (B, a) rows times an (a, c) matrix: (B, f, c)."""
-    out = np.empty(spec.shape[:2] + m.shape[2:], dtype=np.complex128)
+    out = np.empty(spec.shape[:2] + m.shape[2:], dtype=np.result_type(spec, m))
     np.matmul(spec.transpose(1, 0, 2), m, out=out.transpose(1, 0, 2))
     return out
 
@@ -90,7 +90,7 @@ def _mix(spec, m):
 def _kernel_spectrum(kernel, n, left):
     """Conjugate spectrum (n//2+1, a, c) of the (kw, a, c) kernel with tap
     q at sample (q - left) mod n, which puts the same padding into it."""
-    placed = np.zeros((n,) + kernel.shape[1:])
+    placed = np.zeros((n,) + kernel.shape[1:], dtype=kernel.dtype)
     placed[: kernel.shape[0] - left] = kernel[left:]
     placed[n - left :] = kernel[:left]
     spec = fft.rfft(placed, axis=0)
@@ -196,7 +196,6 @@ class _Correlation(Layer):
         return self._memo[2]
 
     def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
         _check_tensor4(x)
         if x.shape[3] != self.c_in:
             raise ValueError(f"input has {x.shape[3]} channels, layer expects {self.c_in}")
@@ -222,7 +221,7 @@ class _Correlation(Layer):
 
     def _param_grads(self, dy):
         x = self._take_cache()
-        dy = np.asarray(dy, dtype=np.float64)[:, 0]
+        dy = dy[:, 0]
         _, n, left = self._geometry(x.shape[2])
         wide, narrow = (dy, x[:, 0]) if self.transposed else (x[:, 0], dy)
         self.grads["bias"] += dy.sum(axis=(0, 1))
@@ -260,7 +259,6 @@ class BatchNorm(Layer):
         self.running_var = np.ones(channels)
 
     def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
         _check_tensor4(x)
         if train:
             if x.shape[0] < 2:
@@ -278,7 +276,6 @@ class BatchNorm(Layer):
 
     def backward(self, dy):
         xhat, inv_std, shape = self._take_cache()
-        dy = np.asarray(dy, dtype=np.float64)
         m = shape[0] * shape[1] * shape[2]  # elements per channel
         self.grads["gamma"] += (dy * xhat).sum(axis=(0, 1, 2))
         self.grads["beta"] += dy.sum(axis=(0, 1, 2))
@@ -299,7 +296,6 @@ class BatchNorm(Layer):
 
 class Elu(Layer):
     def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
         y = elu(x)
         if train:
             self._cache = y
@@ -322,7 +318,6 @@ class AvgPool(Layer):
         self.pool_width = pool_width
 
     def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
         _check_tensor4(x)
         b, _, w, c = x.shape
         if w % self.pool_width:
@@ -334,20 +329,7 @@ class AvgPool(Layer):
 
     def backward(self, dy):
         b, w, c = self._take_cache()
-        dy = np.asarray(dy, dtype=np.float64)
         return np.repeat(dy, self.pool_width, axis=2) / self.pool_width
-
-
-class Flatten(Layer):
-    def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
-        if train:
-            self._cache = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, dy):
-        shape = self._take_cache()
-        return np.asarray(dy).reshape(shape)
 
 
 class Reshape(Layer):
@@ -358,14 +340,20 @@ class Reshape(Layer):
         self.trailing_shape = tuple(trailing_shape)
 
     def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
         if train:
             self._cache = x.shape
         return x.reshape((x.shape[0],) + self.trailing_shape)
 
     def backward(self, dy):
         shape = self._take_cache()
-        return np.asarray(dy).reshape(shape)
+        return dy.reshape(shape)
+
+
+class Flatten(Reshape):
+    """Reshape to (batch, everything else)."""
+
+    def __init__(self):
+        super().__init__((-1,))
 
 
 class Dense(Layer):
@@ -381,7 +369,6 @@ class Dense(Layer):
         self.grads = {k: np.zeros_like(v) for k, v in self.params.items()}
 
     def forward(self, x, train=True):
-        x = np.asarray(x, dtype=np.float64)
         if x.ndim != 2 or x.shape[1] != self.n_in:
             raise ValueError(f"expected (batch, {self.n_in}), got {x.shape}")
         if train:
@@ -390,7 +377,6 @@ class Dense(Layer):
 
     def backward(self, dy):
         x = self._take_cache()
-        dy = np.asarray(dy, dtype=np.float64)
         self.grads["weight"] += x.T @ dy
         self.grads["bias"] += dy.sum(axis=0)
         return dy @ self.params["weight"].T

@@ -299,13 +299,20 @@ def make_splits(ts, kind, k, seed):
     """
     if k < 2:
         raise ValueError(f"k must be >= 2, got {k}")
+    if kind not in SPLIT_KINDS:
+        raise ValueError(
+            f"unknown protocol kind {kind!r}; expected one of {SPLIT_KINDS}")
     all_idx = np.arange(ts.n_trials, dtype=np.int64)
     subjects = np.unique(ts.subject_ids)
-    folds = []
+    if kind == "subject_independent" and len(subjects) < 2:
+        raise ValueError("subject-independent splits need at least two subjects")
 
-    if kind == "subject_dependent":
-        for si, subj in enumerate(subjects):
-            mask = ts.subject_ids == subj
+    folds = []
+    for si, subj in enumerate(subjects):
+        mask = ts.subject_ids == subj
+        if kind == "subject_independent":
+            pool, test = all_idx[~mask], all_idx[mask]
+        else:
             sess = np.unique(ts.session_ids[mask])
             if len(sess) < 2:
                 raise ValueError(
@@ -314,24 +321,9 @@ def make_splits(ts, kind, k, seed):
                 )
             pool = all_idx[mask & (ts.session_ids == sess[0])]
             test = all_idx[mask & (ts.session_ids == sess[1])]
-            rng = np.random.default_rng([seed, si])
-            for fi, (train, val) in enumerate(
-                _stratified_kfold(pool, ts.labels[pool], k, rng)
-            ):
-                folds.append(Fold(train, val, test, subject=int(subj), index=fi))
-    elif kind == "subject_independent":
-        if len(subjects) < 2:
-            raise ValueError("subject-independent splits need at least two subjects")
-        for si, subj in enumerate(subjects):
-            test = all_idx[ts.subject_ids == subj]
-            pool = all_idx[ts.subject_ids != subj]
-            rng = np.random.default_rng([seed, si])
-            for fi, (train, val) in enumerate(
-                _stratified_kfold(pool, ts.labels[pool], k, rng)
-            ):
-                folds.append(Fold(train, val, test, subject=int(subj), index=fi))
-    else:
-        raise ValueError(
-            f"unknown protocol kind {kind!r}; expected one of {SPLIT_KINDS}")
-
+        rng = np.random.default_rng([seed, si])
+        for fi, (train, val) in enumerate(
+            _stratified_kfold(pool, ts.labels[pool], k, rng)
+        ):
+            folds.append(Fold(train, val, test, subject=int(subj), index=fi))
     return SplitPlan(kind=kind, k=k, seed=seed, folds=tuple(folds))

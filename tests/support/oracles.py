@@ -17,7 +17,8 @@ import bisect
 import numpy as np
 from scipy import signal as sps
 
-from specblend.blend import MissingReferenceError, TaskReference, smoothed_tangent
+from specblend.blend import (O_FLOOR, MissingReferenceError, TaskReference,
+                             smoothed_tangent)
 
 
 def jacobi_eigh(a, tol=1e-14, max_sweeps=200):
@@ -293,7 +294,7 @@ def recompute_update_weights(state, curves, n):
             raise MissingReferenceError(f"task {m} has no usable reference tangent")
         tan_train, tan_val = _current_tangents(curves[m], n, state.window)
         g = max(tan_val - ref.tan_val, 0.0)
-        o = max((tan_val - tan_train) - (ref.tan_val - ref.tan_train), state.eps)
+        o = max((tan_val - tan_train) - (ref.tan_val - ref.tan_train), O_FLOOR)
         raw[m] = g / o**state.exponent
         tangents.append((tan_train, tan_val))
     z = raw.sum()

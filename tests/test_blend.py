@@ -135,7 +135,7 @@ class TestGAndO:
         state = linear_state([(-1.0, -0.5), (-1.0, 0.5)], 3, warmup=2, window=2)
         tan_train, tan_val = state.tangents(0)
         assert compute_G(REF, tan_val) == pytest.approx(0.5, abs=1e-12)
-        o = compute_O(REF, tan_train, tan_val, state.eps)
+        o = compute_O(REF, tan_train, tan_val)
         assert o == pytest.approx(0.5, abs=1e-12)
 
     def test_worked_pair_two(self):
@@ -143,15 +143,15 @@ class TestGAndO:
         state = linear_state([(-1.0, -0.5), (-1.0, 0.5)], 3, warmup=2, window=2)
         tan_train, tan_val = state.tangents(1)
         assert compute_G(REF, tan_val) == pytest.approx(1.5, abs=1e-12)
-        o = compute_O(REF, tan_train, tan_val, state.eps)
+        o = compute_O(REF, tan_train, tan_val)
         assert o == pytest.approx(1.5, abs=1e-12)
 
     def test_reference_identity_floors(self):
-        """Same tangents as the reference: G 0, O floored at eps."""
+        """Same tangents as the reference: G 0, O floored at O_FLOOR."""
         state = linear_state([(-1.0, -1.0), (-1.0, -1.0)], 3, warmup=2, window=2)
         tan_train, tan_val = state.tangents(0)
         assert compute_G(REF, tan_val) == 0.0
-        assert compute_O(REF, tan_train, tan_val, state.eps) == state.eps
+        assert compute_O(REF, tan_train, tan_val) == blend.O_FLOOR
 
     def test_missing_reference_raises(self):
         """Checkpoints recorded but never blended: the first update past
@@ -238,7 +238,7 @@ class TestUpdateWeights:
                                  warmup=2, window=2)
             tan_train, tan_val = state.tangents(0)
             g = compute_G(REF, tan_val)
-            o = compute_O(REF, tan_train, tan_val, state.eps)
+            o = compute_O(REF, tan_train, tan_val)
             raws.append(g / o**2)
             assert g == pytest.approx(0.5, abs=1e-12)
         assert raws[1] < raws[0]

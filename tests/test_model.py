@@ -49,6 +49,16 @@ class TestShapes:
         assert xhat.shape == x.shape
         assert logits.shape == (2, 2)
 
+    def test_casts_once_at_the_edge(self):
+        """A float32 batch is widened where it enters the model: every
+        output is float64 and equal to the float64 batch's."""
+        x64 = np.random.default_rng(5).standard_normal((3, 1, 100, 4))
+        x64 = x64.astype(np.float32).astype(np.float64)
+        for got, want in zip(tiny_model(6).forward(x64.astype(np.float32), train=False),
+                             tiny_model(6).forward(x64, train=False)):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, want)
+
     def test_encoder_stage_widths(self):
         """Intermediate widths follow t -> 100 -> 25."""
         dims = ModelDims(t=400, u=4, n_bands=9, latent=36)

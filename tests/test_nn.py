@@ -460,3 +460,33 @@ class TestPlumbing:
         limit = np.sqrt(6.0 / 200)
         assert np.abs(w).max() <= limit
         assert np.abs(w).max() >= 0.9 * limit  # actually fills the range
+
+
+class TestKeepsDtype:
+    """No layer casts: float32 in gives float32 out, forward and
+    backward, and complex64 spectra in the correlation pair."""
+
+    @pytest.mark.parametrize("make", [nn.Elu, lambda: nn.AvgPool(4), nn.Flatten,
+                                      lambda: nn.Reshape((4, 6))],
+                             ids=["elu", "avgpool", "flatten", "reshape"])
+    def test_shape_and_element_layers(self, make):
+        layer = make()
+        x = np.random.default_rng(90).standard_normal((2, 1, 8, 3)).astype(np.float32)
+        y = layer.forward(x, train=True)
+        dx = layer.backward(np.ones_like(y))
+        assert (y.dtype, dx.dtype) == (np.float32, np.float32)
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_correlation_pair(self, stride):
+        rng = np.random.default_rng(91)
+        w_in, a, c, kw = 9, 3, 2, 5
+        w_out = -(-w_in // stride)
+        x = rng.standard_normal((2, w_in, a)).astype(np.float32)
+        y = rng.standard_normal((2, w_out, c)).astype(np.float32)
+        kernel = rng.standard_normal((kw, a, c)).astype(np.float32)
+        n, left = nn._plan(w_in, kw, stride)
+        kspec = nn._kernel_spectrum(kernel, n, left)
+        assert kspec.dtype == np.complex64
+        assert nn._correlate(x, kspec, n, stride, w_out).dtype == np.float32
+        assert nn._correlate_adjoint(y, kspec, n, stride, w_in).dtype == np.float32
+        assert nn._kernel_grad(x, y, n, left, stride, kw).dtype == np.float32
