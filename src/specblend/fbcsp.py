@@ -2,8 +2,10 @@
 
 ``fbcsp_fit`` learns one set of CSP filters per sub-band from training
 trials only; ``fbcsp_transform`` turns any trial into the channels-last
-tensor the network consumes.  Channel order is band-major: band k's
-projections occupy tensor channels ``k*u .. k*u + u - 1``.
+tensor the network consumes, projecting onto each band's u filters before
+band-passing (filtering is linear), so it filters u rows per band, not
+n_channels.  Channel order is band-major: band k's projections occupy
+tensor channels ``k*u .. k*u + u - 1``.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import numpy as np
 
 from . import blobio
 from .csp import class_covariance, csp_fit
-from .filterbank import FilterBank, apply_bank, make_filter_bank
+from .filterbank import FilterBank, apply_bank, make_filter_bank, zero_phase_filter
 
 
 @dataclass(frozen=True)
@@ -134,12 +136,10 @@ def fbcsp_transform(xf, trials):
             f"trial shape {trials.shape} does not match the fitted "
             f"{xf.n_channels} channels"
         )
-    banded = apply_bank(trials, xf.bank)  # (..., n_bands, n_ch, t)
     u = xf.u
     stacked = np.empty(trials.shape[:-2] + (xf.bank.n_bands * u, trials.shape[-1]))
-    for k, w in enumerate(xf.per_band_filters):  # band-major rows
-        np.matmul(w.T, banded[..., k, :, :], out=stacked[..., k * u : (k + 1) * u, :])
-    del banded
+    for k, (w, design) in enumerate(zip(xf.per_band_filters, xf.bank.designs)):  # band-major
+        stacked[..., k * u : (k + 1) * u, :] = zero_phase_filter(w.T @ trials, design)
     values = np.ascontiguousarray(np.swapaxes(stacked, -1, -2))
     return SpectralSpatialTensor(values=values[..., np.newaxis, :, :])
 

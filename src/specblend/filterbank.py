@@ -1,10 +1,12 @@
 """Butterworth band-pass bank and zero-phase filtering.
 
 Nine 4 Hz-wide bands covering 4-40 Hz by default.  Filters are designed
-as second-order sections and applied with ``scipy.signal.sosfiltfilt``
-along the last axis, with odd padding over ``3 * (2 * order)`` samples,
-so the effective magnitude response is squared and the phase response
-cancels.  One call per band filters every trial and channel at once.
+as second-order sections and applied as ``scipy.signal.sosfiltfilt``
+does along the last axis, with odd padding over ``3 * (2 * order)``
+samples, so the effective magnitude response is squared and the phase
+response cancels.  Each design stores its initial filter state; a bank
+call shares one odd extension across bands, and one call per band
+filters every trial and channel at once.
 """
 
 from __future__ import annotations
@@ -33,6 +35,8 @@ class BandpassDesign:
     fs : float
     sos : ndarray, shape (order, 6)
         Second-order sections ``[b0 b1 b2 1 a1 a2]``.
+    zi : ndarray, shape (order, 2)
+        ``sosfilt_zi(sos)``, solved once; each pass scales it.
     """
 
     low_hz: float
@@ -40,6 +44,7 @@ class BandpassDesign:
     order: int
     fs: float
     sos: np.ndarray
+    zi: np.ndarray
 
     @property
     def padlen(self):
@@ -106,6 +111,7 @@ def design_bandpass(low_hz, high_hz, order, fs):
         order=int(order),
         fs=float(fs),
         sos=sos,
+        zi=sps.sosfilt_zi(sos),
     )
 
 
@@ -115,15 +121,38 @@ def make_filter_bank(fs, bands=DEFAULT_BANDS, order=DEFAULT_ORDER):
     return FilterBank(bands=tuple((float(lo), float(hi)) for lo, hi in bands), designs=designs)
 
 
+def _odd_extension(x, padlen):
+    """Point-mirror both ends of the last axis over ``padlen`` samples,
+    as ``sosfiltfilt`` with ``padtype="odd"`` does."""
+    if x.ndim == 0:
+        raise ValueError("expected a signal with a time axis, got a scalar")
+    if x.shape[-1] <= padlen:
+        raise ValueError(
+            f"signal of length {x.shape[-1]} is too short for padding "
+            f"length {padlen}"
+        )
+    left, right = x[..., padlen:0:-1], x[..., -2 : -padlen - 2 : -1]
+    return np.concatenate((2 * x[..., :1] - left, x, 2 * x[..., -1:] - right), axis=-1)
+
+
+def _filter_extension(ext, design):
+    """Forward and reversed ``sosfilt`` passes over an odd extension, each
+    from ``design.zi`` scaled to its first sample, then the trim."""
+    zi = design.zi.reshape((design.order,) + (1,) * (ext.ndim - 1) + (2,))
+    y, _ = sps.sosfilt(design.sos, ext, zi=zi * ext[..., :1])
+    y, _ = sps.sosfilt(design.sos, y[..., ::-1], zi=zi * y[..., -1:])
+    return y[..., ::-1][..., design.padlen : -design.padlen]
+
+
 def zero_phase_filter(x, design):
     """Filter forward and backward along the last axis for zero net phase.
 
-    This is ``scipy.signal.sosfiltfilt`` with odd padding: each signal is
-    extended at both ends by odd reflection (point-mirrored about the end
-    samples) over ``3 * (2 * order)`` samples, filtered forward from
-    initial conditions scaled to its first sample, filtered backward the
-    same way, and trimmed.  The result has the squared magnitude response
-    of the design and no phase shift.
+    This is ``scipy.signal.sosfiltfilt`` with odd padding, bit for bit:
+    each signal is extended at both ends by odd reflection (point-mirrored
+    about the end samples) over ``3 * (2 * order)`` samples, filtered
+    forward from the design's stored ``zi`` scaled to its first sample,
+    filtered backward the same way, and trimmed.  The result has the
+    squared magnitude response of the design and no phase shift.
 
     Parameters
     ----------
@@ -136,14 +165,7 @@ def zero_phase_filter(x, design):
     ndarray, float64, shape (..., t)
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim == 0:
-        raise ValueError("expected a signal with a time axis, got a scalar")
-    if x.shape[-1] <= design.padlen:
-        raise ValueError(
-            f"signal of length {x.shape[-1]} is too short for padding "
-            f"length {design.padlen}"
-        )
-    return sps.sosfiltfilt(design.sos, x, axis=-1, padtype="odd", padlen=design.padlen)
+    return _filter_extension(_odd_extension(x, design.padlen), design)
 
 
 def apply_bank(trials, bank):
@@ -163,7 +185,8 @@ def apply_bank(trials, bank):
     x = np.asarray(trials, dtype=np.float64)
     if x.ndim < 2:
         raise ValueError(f"expected (..., channels, samples), got shape {x.shape}")
+    ext = _odd_extension(x, bank.designs[0].padlen)  # one order per bank
     out = np.empty(x.shape[:-2] + (bank.n_bands,) + x.shape[-2:])
     for b, design in enumerate(bank.designs):
-        out[..., b, :, :] = zero_phase_filter(x, design)
+        out[..., b, :, :] = _filter_extension(ext, design)
     return out

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.signal
 
 from specblend.fbcsp import (
     SpectralSpatialTensor,
@@ -15,7 +16,7 @@ from specblend.fbcsp import (
 from specblend.filterbank import apply_bank, make_filter_bank
 from specblend.trialdata import SynthSpec, generate_synthetic, make_splits
 from tests.support.oracle_classifier import oracle_fold_metrics
-from tests.support.oracles import loop_bank
+from tests.support.oracles import loop_zero_phase
 
 
 BANK = make_filter_bank(100.0)
@@ -108,18 +109,58 @@ class TestTransform:
             )
 
     def test_batch_matches_loop_reference_bit_for_bit(self):
-        """transform_batch == per-trial, per-band projection of bands
-        filtered one channel at a time, band-major, exactly."""
+        """transform_batch == per-trial, per-band projection, each projected
+        row then filtered on its own, band-major, exactly."""
         ts = small_set(seed=12)
         xf = fbcsp_fit(ts, BANK, u=4)
         batch = transform_batch(xf, ts)
         assert batch.shape == (ts.n_trials, 1, ts.n_samples, 36)
-        ref = loop_bank(ts.signals, BANK)
         for i in range(ts.n_trials):
-            for k, w in enumerate(xf.per_band_filters):
-                assert np.array_equal(
-                    batch[i, 0, :, k * 4 : (k + 1) * 4], (w.T @ ref[i, k]).T
-                )
+            trial = ts.signals[i].astype(np.float64)
+            for k, (w, design) in enumerate(zip(xf.per_band_filters, BANK.designs)):
+                for r, row in enumerate(w.T @ trial):
+                    assert np.array_equal(
+                        batch[i, 0, :, 4 * k + r], loop_zero_phase(row, design)
+                    )
+
+    def test_project_first_bounded_at_the_paper_montage(self):
+        """22 channels at 250 Hz, t = 1000: projecting first agrees with
+        filter-then-project to 1e-12 relative."""
+        ts = generate_synthetic(
+            SynthSpec(n_subjects=1, trials_per_class_per_session=12,
+                      n_channels=22, fs=250.0, duration=4.0, seed=3)
+        )
+        bank = make_filter_bank(250.0)
+        xf = fbcsp_fit(ts, bank, u=4)
+        trials = ts.signals[:3]
+        out = fbcsp_transform(xf, trials).values
+        banded = apply_bank(trials, bank)
+        for k, w in enumerate(xf.per_band_filters):
+            manual = np.swapaxes(w.T @ banded[:, k], -1, -2)
+            got = out[:, 0, :, k * 4 : (k + 1) * 4]
+            assert np.abs(got - manual).max() <= 1e-12 * np.abs(manual).max()
+
+    @pytest.mark.parametrize("lead", [(), (3,)], ids=["one_trial", "stack"])
+    def test_padlen_samples_rejected(self, lead):
+        """Trials of exactly ``padlen`` samples (30 at order 5) are refused
+        by the filter's own length check, not a shape mismatch."""
+        xf = fbcsp_fit(small_set(seed=14), BANK, u=2)
+        with pytest.raises(ValueError, match="too short for padding length 30"):
+            fbcsp_transform(xf, np.ones(lead + (8, 30)))
+
+    def test_no_filter_state_solved_per_call(self, monkeypatch):
+        """Once the bank is designed, a transform neither solves
+        ``sosfilt_zi`` nor calls ``sosfiltfilt``."""
+        ts = small_set(seed=15)
+        xf = fbcsp_fit(ts, BANK, u=4)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("filter state solved per call")
+
+        monkeypatch.setattr(scipy.signal, "sosfilt_zi", refuse)
+        monkeypatch.setattr(scipy.signal, "sosfiltfilt", refuse)
+        assert fbcsp_transform(xf, ts.signals[0]).values.shape == (1, ts.n_samples, 36)
+        assert fbcsp_transform(xf, ts.signals).values.shape == (ts.n_trials, 1, ts.n_samples, 36)
 
     def test_single_trial_equals_its_batch_row(self):
         ts = small_set(seed=13)

@@ -7,9 +7,11 @@ independent of the design code.
 
 import numpy as np
 import pytest
+from scipy import signal as sps
 
 from specblend.filterbank import (
     DEFAULT_BANDS,
+    DEFAULT_ORDER,
     apply_bank,
     design_bandpass,
     make_filter_bank,
@@ -110,6 +112,48 @@ class TestZeroPhaseFilter:
             zero_phase_filter(np.zeros(30), d)  # needs > 3*(2*5) = 30
 
 
+def scipy_zero_phase(x, design):
+    return sps.sosfiltfilt(design.sos, x, padtype="odd", padlen=6 * design.order)
+
+
+@pytest.mark.parametrize("fs", [100.0, 250.0])
+class TestPinnedToScipy:
+    """The stored-state filter is ``sosfiltfilt`` with odd padding, bit
+    for bit, on every default band."""
+
+    def inputs(self, fs):
+        rng = np.random.default_rng(int(fs))
+        t = int(4 * fs)
+        stack = rng.standard_normal((3, 5, t))
+        return {
+            "1-d": stack[0, 0],
+            "2-d": stack[0],
+            "3-d": stack,
+            "integer": rng.integers(-60, 61, size=(5, t)),
+            "strided slice": stack[:, ::2, 1::2],
+        }
+
+    def test_stored_state_is_sosfilt_zi(self, fs):
+        for design in make_filter_bank(fs).designs:
+            assert np.array_equal(design.zi, sps.sosfilt_zi(design.sos))
+
+    def test_zero_phase_filter_equals_sosfiltfilt(self, fs):
+        for name, x in self.inputs(fs).items():
+            for design in make_filter_bank(fs).designs:
+                assert np.array_equal(zero_phase_filter(x, design),
+                                      scipy_zero_phase(x, design)), name
+
+    def test_apply_bank_equals_sosfiltfilt(self, fs):
+        bank = make_filter_bank(fs)
+        for name, x in self.inputs(fs).items():
+            if x.ndim < 2:
+                continue
+            out = apply_bank(x, bank)
+            for b, design in enumerate(bank.designs):
+                assert np.array_equal(out[..., b, :, :],
+                                      scipy_zero_phase(x, design)), name
+
+
 class TestApplyBank:
     def test_shape(self):
         bank = make_filter_bank(100.0)
@@ -153,6 +197,17 @@ class TestApplyBank:
         rhs = 2.5 * apply_bank(x, bank) - 1.5 * apply_bank(y, bank)
         scale = np.abs(lhs).max()
         assert np.abs(lhs - rhs).max() <= 1e-9 * max(scale, 1.0)
+
+    @pytest.mark.parametrize("shape", [(8,), (4, 8)], ids=["one_trial", "stack"])
+    def test_padlen_samples_rejected(self, shape):
+        """The shared extension keeps the length check: a trial of exactly
+        ``padlen`` samples (30 at order 5) cannot be padded."""
+        bank = make_filter_bank(100.0)
+        padlen = 3 * (2 * DEFAULT_ORDER)
+        assert bank.designs[0].padlen == padlen == 30
+        with pytest.raises(ValueError, match="too short for padding length 30"):
+            apply_bank(np.ones(shape + (padlen,)), bank)
+        assert apply_bank(np.ones(shape + (padlen + 1,)), bank).shape[-1] == padlen + 1
 
     def test_missing_channel_axis_rejected(self):
         with pytest.raises(ValueError, match="channels, samples"):
