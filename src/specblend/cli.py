@@ -35,8 +35,7 @@ from .config import (
 from .evalmetrics import (
     EvalReport,
     _guard_fold,
-    check_epoch_plans,
-    protocol_dims,
+    check_protocol,
     run_fold,
     run_protocol,
     score_fold,
@@ -53,10 +52,9 @@ def _prepare(cfg: RunConfig):
     ts = cfg.load_dataset()
     try:
         bank = cfg.make_bank(ts.fs)
-        dims = protocol_dims(ts, bank, cfg.train.u, cfg.train.latent)
         plan = make_splits(ts, cfg.protocol_kind, cfg.protocol_k,
                            cfg.train.seed)
-        check_epoch_plans(plan, cfg.train)
+        dims = check_protocol(ts, bank, plan, cfg.train)
     except ValueError as exc:
         raise ConfigError(f"config cannot run on this dataset: {exc}") from exc
     return ts, bank, plan, dims
@@ -169,15 +167,13 @@ def cmd_eval(args) -> int:
 
 
 def _parse_grid(specs) -> list:
-    """``section.key=v1,v2`` strings -> list of (section, key, values)."""
+    """``path.to.key=v1,v2`` strings -> list of (path parts, values)."""
     axes = []
     for spec in specs:
-        if "=" not in spec:
-            raise ConfigError(f"grid entry {spec!r} is not section.key=v,...")
         path, _, raw = spec.partition("=")
         parts = path.strip().split(".")
-        if len(parts) != 2 or not raw:
-            raise ConfigError(f"grid entry {spec!r} is not section.key=v,...")
+        if not raw or not all(parts):
+            raise ConfigError(f"grid entry {spec!r} is not path.key=v,...")
         values = []
         for chunk in raw.split(","):
             chunk = chunk.strip()
@@ -185,16 +181,14 @@ def _parse_grid(specs) -> list:
                 values.append(json.loads(chunk))
             except json.JSONDecodeError:
                 values.append(chunk)
-        axes.append((parts[0], parts[1], values))
+        axes.append((parts, values))
     return axes
 
 
-def _sweep_point(payload):
-    index, doc, _ = payload
+def _sweep_point(doc):
     cfg = RunConfig.from_dict(doc)
     ts, bank, plan, _ = _prepare(cfg)
-    report = run_protocol(ts, plan, cfg.train, bank=bank)
-    return index, cfg.config_hash(), report
+    return cfg.config_hash(), run_protocol(ts, plan, cfg.train, bank=bank)
 
 
 def cmd_sweep(args) -> int:
@@ -206,15 +200,20 @@ def cmd_sweep(args) -> int:
     if not axes:
         raise ConfigError("sweep needs at least one --grid entry")
 
+    combos = list(itertools.product(*(vals for _, vals in axes)))
     points = []
-    for combo in itertools.product(*(vals for _, _, vals in axes)):
+    for combo in combos:
         doc = copy.deepcopy(cfg.resolved())
-        for (section, key, _), value in zip(axes, combo):
-            if section not in doc or not isinstance(doc[section], dict):
-                raise ConfigError(f"grid section {section!r} unknown")
-            doc[section][key] = value
+        for (parts, _), value in zip(axes, combo):
+            parent = doc
+            for part in parts[:-1]:
+                parent = parent.get(part)
+                if not isinstance(parent, dict):
+                    raise ConfigError(f"grid path {'.'.join(parts)!r}: "
+                                      f"{part!r} is not a config section")
+            parent[parts[-1]] = value
         RunConfig.from_dict(doc)      # validate before any work
-        points.append((len(points), doc, combo))
+        points.append(doc)
 
     workers = min(args.workers, len(points))
     if workers > 1:
@@ -224,12 +223,13 @@ def cmd_sweep(args) -> int:
         results = [_sweep_point(p) for p in points]
 
     out = _outdir(cfg)
-    names = [f"{s}.{k}" for s, k, _ in axes]
+    names = [".".join(parts) for parts, _ in axes]
     lines = [f"# config_hash={base_hash}",
              "point," + ",".join(names)
              + ",accuracy_mean,accuracy_sd,f1_mean,f1_sd,auc_mean,auc_sd"
              + ",report"]
-    for (index, point_hash, report), (_, _, combo) in zip(results, points):
+    for index, (combo, (point_hash, report)) in enumerate(
+            zip(combos, results)):
         stem = f"report_point{index:03d}"
         write_report_json(report, out / f"{stem}.json",
                           config_hash=point_hash)
@@ -285,7 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sweep", help="grid of config overrides")
     p.add_argument("--config", required=True)
     p.add_argument("--grid", action="append", default=[],
-                   metavar="SECTION.KEY=V1,V2",
+                   metavar="PATH.KEY=V1,V2",
                    help="may be repeated; points are the cartesian product")
     p.add_argument("--workers", type=int, default=1)
     p.set_defaults(func=cmd_sweep)

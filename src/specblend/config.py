@@ -22,7 +22,6 @@ import json
 from dataclasses import dataclass, fields
 from typing import Optional, Tuple
 
-from .blobio import BlobFormatError
 from .filterbank import DEFAULT_BANDS, DEFAULT_ORDER, make_filter_bank
 from .trainer import TrainConfig
 from .trialdata import (
@@ -221,7 +220,7 @@ class RunConfig:
         if self.data_path is not None:
             try:
                 return load_trialset(self.data_path)
-            except BlobFormatError as exc:
+            except ValueError as exc:   # BlobFormatError among them
                 raise ConfigError(f"data.path: {exc}") from exc
         return generate_synthetic(self.synth)
 
@@ -233,9 +232,14 @@ def canonical_hash(doc: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()[:16]
 
 
-def _json_object(text: str, what: str) -> dict:
+def read_json_object(path, what: str, short: str) -> dict:
+    """The JSON object in the file ``path``; ``what`` names it in the
+    error messages, ``short`` when the file cannot be read."""
     try:
-        doc = json.loads(text)
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except OSError as exc:
+        raise ConfigError(f"cannot read {short} {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(
             f"malformed JSON at line {exc.lineno} column {exc.colno}: "
@@ -243,21 +247,6 @@ def _json_object(text: str, what: str) -> dict:
     if not isinstance(doc, dict):
         raise ConfigError(f"{what} root must be a JSON object")
     return doc
-
-
-def read_json_object(path, what: str, short: str) -> dict:
-    """The JSON object in the file ``path``; ``what`` names it in the
-    error messages, ``short`` when the file cannot be read."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    except OSError as exc:
-        raise ConfigError(f"cannot read {short} {path}: {exc}") from exc
-    return _json_object(text, what)
-
-
-def parse_config_text(text: str) -> RunConfig:
-    return RunConfig.from_dict(_json_object(text, "config"))
 
 
 def load_config(path) -> RunConfig:

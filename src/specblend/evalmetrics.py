@@ -172,20 +172,22 @@ def evaluate_fold(model: MultiTaskAE, test_x: np.ndarray,
     return acc, f1, auc
 
 
-def protocol_dims(ts: TrialSet, bank: FilterBank, u: int,
-                  latent: Optional[int] = None) -> ModelDims:
-    """Model shape of every fold of a protocol over ``ts``, checked
-    before any filtering.
+def check_protocol(ts: TrialSet, bank: FilterBank, plan: SplitPlan,
+                   config: TrainConfig) -> ModelDims:
+    """Model shape of every fold of ``plan`` over ``ts``, checked before
+    any filtering.
 
-    ``latent=None`` means u * n_bands.  Raises ValueError when the labels
-    are not exactly {0, 1}, when u exceeds the channel count (CSP keeps u
-    of n_channels filters), when the trials are too short to pad for the
-    bank's filters, or when ``ModelDims`` rejects the shape (t must be a
-    positive multiple of 100).
+    ``config.latent=None`` means u * n_bands.  Raises ValueError when the
+    labels are not exactly {0, 1}, when u exceeds the channel count (CSP
+    keeps u of n_channels filters), when the trials are too short to pad
+    for the bank's filters, when ``ModelDims`` rejects the shape (t must
+    be a positive multiple of 100), or when some fold's training set
+    admits no blend plan (see :func:`~specblend.trainer.epoch_plan`).
     """
     present = np.unique(ts.labels).tolist()
     if present != [0, 1]:
         raise ValueError(f"labels must be exactly {{0, 1}}, found {present}")
+    u = config.u
     if u > ts.n_channels:
         raise ValueError(
             f"u={u} CSP filters per band exceed the {ts.n_channels} channels")
@@ -194,22 +196,16 @@ def protocol_dims(ts: TrialSet, bank: FilterBank, u: int,
         raise ValueError(
             f"trials of {ts.n_samples} samples are too short for padding "
             f"length {padlen}")
-    if latent is None:
-        latent = u * bank.n_bands
-    return ModelDims(t=ts.n_samples, u=u, n_bands=bank.n_bands,
+    latent = u * bank.n_bands if config.latent is None else config.latent
+    dims = ModelDims(t=ts.n_samples, u=u, n_bands=bank.n_bands,
                      latent=latent, n_classes=2)
-
-
-def check_epoch_plans(plan: SplitPlan, config: TrainConfig) -> None:
-    """Raise ValueError, before any filtering, when some fold's training
-    set admits no blend plan under ``config`` (see
-    :func:`~specblend.trainer.epoch_plan`)."""
     for position, fold in enumerate(plan.folds):
         try:
             epoch_plan(len(fold.train), config)
         except ValueError as exc:
             raise ValueError(f"fold {position} ({len(fold.train)} training "
                              f"trials): {exc}") from exc
+    return dims
 
 
 def score_fold(model: MultiTaskAE, xf, ts: TrialSet, fold) -> FoldMetrics:
@@ -253,13 +249,11 @@ def run_protocol(ts: TrialSet, plan: SplitPlan, config: TrainConfig,
 
     ``collect``, if given, receives the per-fold :class:`TrainResult`
     objects.  Inputs the protocol cannot run raise ValueError (see
-    :func:`protocol_dims` and :func:`check_epoch_plans`) before any fold
-    is filtered.
+    :func:`check_protocol`) before any fold is filtered.
     """
     if bank is None:
         bank = make_filter_bank(ts.fs)
-    dims = protocol_dims(ts, bank, config.u, config.latent)
-    check_epoch_plans(plan, config)
+    dims = check_protocol(ts, bank, plan, config)
     report = EvalReport(kind=plan.kind, k=plan.k, seed=config.seed)
     for position, fold in enumerate(plan.folds):
         _, result, row = run_fold(ts, fold, position, config, bank, dims)

@@ -1,16 +1,18 @@
 """Training loop: Adam over the blended three-task objective.
 
-The trainer owns parameter updates.  Each optimization step runs one
+The trainer owns parameter updates.  ``epoch_plan`` is the one
+schedule: the batch bounds of every epoch, the steps after which a
+checkpoint falls (the middle and the last step, or the only one), and
+the blend state sized to match.  Each optimization step runs one
 forward pass over a mini-batch, mines triplets on the resulting latents,
 weights the three task gradients by the current blend weights, and
-applies one Adam update.  Twice per epoch (once when an epoch has only a
-single step) it hands the checkpoint's train and validation losses to
-``update_weights``, which records them in the blend state and returns
-the new weights, and appends a ``CheckpointRow`` to the ``TrainLog``;
-once per epoch it applies the learning-rate plateau rule and the
-early-stopping rule to the monitored validation loss.  The log's rows
-are the loss history that everything outside the blend reads, and
-``write_train_log_csv`` writes them out.
+applies one Adam update.  At each checkpoint the loop hands the train
+and validation losses to ``update_weights``, which records them in the
+blend state and returns the new weights, and appends a ``CheckpointRow``
+to the ``TrainLog``; once per epoch it applies the learning-rate plateau
+rule and the early-stopping rule to the monitored validation loss of the
+epoch's last row.  The log's rows are the loss history that everything
+outside the blend reads, and ``write_train_log_csv`` writes them out.
 """
 
 from __future__ import annotations
@@ -189,35 +191,34 @@ class TrainResult:
     blend: BlendState
 
 
-def _batch_plan(n: int, batch_size: int) -> int:
-    """Number of optimization steps per epoch: consecutive slices of
-    ``batch_size``.  A trailing singleton is folded into the previous
-    batch (batch-norm needs at least two samples per step)."""
-    if n < 2:
-        raise ValueError("need at least 2 training samples")
-    steps = -(-n // batch_size)
-    if steps > 1 and n % batch_size == 1:
-        steps -= 1
-    return steps
-
-
 def epoch_plan(n_train: int, config: TrainConfig,
-               ) -> Tuple[int, int, BlendState]:
-    """Steps per epoch, checkpoints per epoch and the initial blend state
-    for ``n_train`` training trials.
+               ) -> Tuple[List[Tuple[int, int]], Tuple[int, ...], BlendState]:
+    """The schedule of every epoch over ``n_train`` shuffled trials: the
+    batch bounds, the step counts after which a checkpoint falls, and
+    the initial blend state.
 
-    An epoch holds two checkpoints, or one when it has a single step, so
-    the warm-up spans ``warmup_epochs`` times that many checkpoints.
-    Raises ValueError when no blend plan fits, e.g. single-step epochs
-    with ``warmup_epochs=1``; it needs only the training-set size, so a
+    Batches are consecutive slices of ``batch_size``; a trailing
+    singleton is folded into the previous batch (batch-norm needs at
+    least two samples per step).  Checkpoints fall after the middle and
+    the last step, or after the only one, so the warm-up spans
+    ``warmup_epochs`` times that many checkpoints.  Raises ValueError
+    when no blend plan fits, e.g. single-step epochs with
+    ``warmup_epochs=1``; it needs only the training-set size, so a
     protocol can call it before any filtering.
     """
-    steps = _batch_plan(n_train, config.batch_size)
-    cpe = 2 if steps >= 2 else 1
-    blend_state = BlendState(n_tasks=3, warmup=cpe * config.warmup_epochs,
+    if n_train < 2:
+        raise ValueError("need at least 2 training samples")
+    starts = list(range(0, n_train, config.batch_size))
+    if len(starts) > 1 and n_train % config.batch_size == 1:
+        starts.pop()
+    bounds = list(zip(starts, starts[1:] + [n_train]))
+    steps = len(bounds)
+    checkpoints = (steps // 2, steps) if steps > 1 else (steps,)
+    blend_state = BlendState(n_tasks=3,
+                             warmup=len(checkpoints) * config.warmup_epochs,
                              window=config.blend_window,
                              exponent=config.blend_exponent)
-    return steps, cpe, blend_state
+    return bounds, checkpoints, blend_state
 
 
 EVAL_CHUNK = 50
@@ -242,8 +243,8 @@ def _task_losses(model: MultiTaskAE, x: np.ndarray, y_hot: np.ndarray,
     z = np.concatenate(zs, axis=0)
     batch = mine_semi_hard_triplets(z, np.argmax(y_hot, axis=1), margin)
     l_tri = triplet_loss(z[batch.anchors], z[batch.positives],
-                         z[batch.negatives], margin) if len(batch) else 0.0
-    return (mse_sum / n, float(l_tri), ce_sum / n)
+                         z[batch.negatives], margin)
+    return (mse_sum / n, l_tri, ce_sum / n)
 
 
 def train(model: MultiTaskAE,
@@ -272,8 +273,7 @@ def train(model: MultiTaskAE,
         rng = np.random.default_rng(config.seed)
 
     n_train = len(train_x)
-    steps_per_epoch, cpe, blend_state = epoch_plan(n_train, config)
-    mid_step = steps_per_epoch // 2 if cpe == 2 else steps_per_epoch
+    bounds, checkpoints, blend_state = epoch_plan(n_train, config)
 
     log = TrainLog()
     adam = Adam(model.named_parameters())
@@ -285,41 +285,16 @@ def train(model: MultiTaskAE,
 
     weights = blend_state.weights.copy()
     lr = controller.lr
-    checkpoint_idx = 0
     best_state: Optional[Dict[str, np.ndarray]] = None
     params = model.named_parameters()
     grads = model.named_grads()
-
-    def run_checkpoint(epoch: int, window: List[Tuple[float, float, float]]):
-        nonlocal checkpoint_idx, weights
-        train_means = tuple(float(np.mean([w[i] for w in window]))
-                            for i in range(3))
-        val_losses = _task_losses(model, val_x, val_hot, config.margin)
-        weights = update_weights(blend_state, checkpoint_idx,
-                                 train_means, val_losses)
-        val_total = weighted_total(val_losses, weights)
-        log.rows.append(CheckpointRow(
-            checkpoint=checkpoint_idx,
-            epoch=epoch,
-            lr=lr,
-            weights=tuple(float(w) for w in weights),
-            train_losses=train_means,
-            val_losses=tuple(float(v) for v in val_losses),
-            val_total=float(val_total),
-        ))
-        checkpoint_idx += 1
-        return val_losses, val_total
 
     for epoch in range(config.max_epochs):
         t0 = time.perf_counter()
         perm = rng.permutation(n_train)
         window: List[Tuple[float, float, float]] = []
-        monitored = None
-        for step in range(steps_per_epoch):
-            idx = perm[step * config.batch_size:
-                       (step + 1) * config.batch_size]
-            if step == steps_per_epoch - 1:
-                idx = perm[step * config.batch_size:]
+        for step, (lo, hi) in enumerate(bounds, start=1):
+            idx = perm[lo:hi]
             x = train_x[idx]
             y_hot = train_hot[idx]
 
@@ -329,14 +304,13 @@ def train(model: MultiTaskAE,
                 z, train_y[idx], config.margin)
             l_mse = mse_loss(x, xhat)
             l_tri = triplet_loss(z[batch.anchors], z[batch.positives],
-                                 z[batch.negatives],
-                                 config.margin) if len(batch) else 0.0
+                                 z[batch.negatives], config.margin)
             l_ce = ce_loss(y_hot, probs)
             if not np.all(np.isfinite([l_mse, l_tri, l_ce])):
                 raise FloatingPointError(
                     f"non-finite training loss at epoch {epoch} step "
-                    f"{step}: mse={l_mse} triplet={l_tri} ce={l_ce}")
-            window.append((l_mse, float(l_tri), l_ce))
+                    f"{step - 1}: mse={l_mse} triplet={l_tri} ce={l_ce}")
+            window.append((l_mse, l_tri, l_ce))
 
             dxhat = weights[0] * mse_grad(x, xhat)
             dz = weights[1] * triplet_latent_grad(z, batch)
@@ -345,20 +319,30 @@ def train(model: MultiTaskAE,
             model.backward(dz, dxhat, dlogits)
             adam.step(params, grads, lr)
 
-            if step + 1 == mid_step and cpe == 2:
-                _, _ = run_checkpoint(epoch, window)
+            if step in checkpoints:
+                train_means = tuple(float(np.mean(losses))
+                                    for losses in zip(*window))
+                val_losses = _task_losses(model, val_x, val_hot, config.margin)
+                weights = update_weights(blend_state, len(log.rows),
+                                         train_means, val_losses)
+                log.rows.append(CheckpointRow(
+                    checkpoint=len(log.rows),
+                    epoch=epoch,
+                    lr=lr,
+                    weights=tuple(float(w) for w in weights),
+                    train_losses=train_means,
+                    val_losses=tuple(float(v) for v in val_losses),
+                    val_total=weighted_total(val_losses, weights),
+                ))
                 window = []
-            if step + 1 == steps_per_epoch:
-                val_losses, val_total = run_checkpoint(epoch, window)
-                window = []
-                monitored = (val_total if config.monitor == "total"
-                             else val_losses[2])
 
-        lr, stop, improved = controller.observe(monitored)
+        last = log.rows[-1]
+        lr, stop, improved = controller.observe(
+            last.val_total if config.monitor == "total" else last.val_losses[2])
         if improved:
             best_state = model.state_dict()
             log.best_epoch = epoch
-            log.best_checkpoint = checkpoint_idx - 1
+            log.best_checkpoint = last.checkpoint
         log.epoch_seconds.append(time.perf_counter() - t0)
         log.stopped_epoch = epoch
         if stop:

@@ -38,6 +38,8 @@ class TrialSet:
             raise ValueError(f"signals must be 3-d, got shape {sig.shape}")
         if sig.shape[0] < 1:
             raise ValueError("a trial set needs at least one trial")
+        if not np.isfinite(sig).all():
+            raise ValueError("signals must be finite")
         n = sig.shape[0]
         lab = np.ascontiguousarray(self.labels, dtype=np.int64)
         sub = np.ascontiguousarray(self.subject_ids, dtype=np.int64)

@@ -3,6 +3,7 @@ and cross-command flows (synth -> train -> eval, sweep) on a miniature
 configuration."""
 
 import argparse
+import copy
 import dataclasses
 import json
 import re
@@ -13,7 +14,7 @@ import pytest
 
 from specblend import blobio, cli, evalmetrics
 from specblend.cli import build_parser, main
-from specblend.config import load_config
+from specblend.config import RunConfig, load_config
 from specblend.evalmetrics import predict_proba
 from specblend.fbcsp import transform_batch
 from specblend.trainer import write_train_log_csv
@@ -346,6 +347,47 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg_path),
                      "--grid", "fbcsp.bogus=1"]) == 2
 
+    @pytest.mark.parametrize("grid, name", [
+        ("seed=1,2", "seed"),
+        ("data.synth.n_channels=5,6", "data.synth.n_channels"),
+    ])
+    def test_grid_path_of_any_depth(self, tmp_path, grid, name):
+        cfg_path, doc = mini_config(tmp_path,
+                                    train={"batch_size": 8, "max_epochs": 1})
+        assert main(["sweep", "--config", str(cfg_path), "--grid", grid]) == 0
+        run = tmp_path / "run"
+        summary = (run / "sweep_summary.csv").read_text().splitlines()
+        assert summary[1].startswith(f"point,{name},accuracy_mean")
+        assert [line.split(",")[1] for line in summary[2:]] == \
+            grid.partition("=")[2].split(",")
+        hashes = set()
+        for index, value in enumerate(grid.partition("=")[2].split(",")):
+            point = copy.deepcopy(doc)
+            *parents, key = name.split(".")
+            section = point
+            for part in parents:
+                section = section[part]
+            section[key] = int(value)
+            report = json.loads(
+                (run / f"report_point{index:03d}.json").read_text())
+            assert report["config_hash"] == \
+                RunConfig.from_dict(point).config_hash()
+            hashes.add(report["config_hash"])
+        assert len(hashes) == 2
+
+    @pytest.mark.parametrize("grid", [
+        "data.nope.n_channels=3",      # parent missing
+        "seed.value=1",                # parent not an object
+        "data.synth.n_channels.x=3",   # parent not an object, deeper
+        ".seed=1",
+    ])
+    def test_grid_path_without_a_section_exits_2(self, tmp_path, capsys,
+                                                 grid):
+        cfg_path, _ = mini_config(tmp_path)
+        assert main(["sweep", "--config", str(cfg_path), "--grid", grid]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
 
 class TestExitCodes:
     def test_malformed_config_json(self, tmp_path, capsys):
@@ -442,6 +484,34 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert "config error" in err and "data.path" in err
 
+    @pytest.mark.parametrize("damage, match", [
+        ("nan", "signals must be finite"),
+        ("short_labels", "labels must have shape"),
+    ])
+    def test_bad_dataset_file_exits_2(self, tmp_path, capsys, monkeypatch,
+                                      damage, match):
+        """A dataset file that no TrialSet can hold fails at load, before
+        the filter bank runs."""
+        def no_fit(*args, **kwargs):
+            raise AssertionError("fbcsp_fit reached")
+
+        monkeypatch.setattr(evalmetrics, "fbcsp_fit", no_fit)
+        ts = generate_synthetic(SynthSpec(
+            n_subjects=1, trials_per_class_per_session=6, n_channels=6,
+            duration=2.0, seed=5))
+        arrays = {"signals": ts.signals.copy(), "labels": ts.labels,
+                  "subject_ids": ts.subject_ids,
+                  "session_ids": ts.session_ids}
+        if damage == "nan":
+            arrays["signals"][3, 2, 50] = np.nan
+        else:
+            arrays["labels"] = ts.labels[:-1]
+        data = tmp_path / "dataset.npz"
+        blobio.write_arrays(data, arrays, {"kind": "trialset", "fs": ts.fs})
+        cfg_path, _ = mini_config(tmp_path, data={"path": str(data)})
+        assert main(["train", "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "config error: data.path" in err and match in err
 
     @staticmethod
     def _unreadable(tmp_path, how, other_kind):

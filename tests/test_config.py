@@ -10,7 +10,6 @@ from specblend.config import (
     ConfigError,
     RunConfig,
     load_config,
-    parse_config_text,
     parse_synth_doc,
 )
 from specblend.filterbank import DEFAULT_BANDS
@@ -196,15 +195,19 @@ class TestHash:
 
 
 class TestParsing:
-    def test_malformed_json_reports_position(self):
+    def test_malformed_json_reports_position(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text('{\n  "seed": ,\n}')
         with pytest.raises(ConfigError, match=r"line 2 column")\
                 as excinfo:
-            parse_config_text('{\n  "seed": ,\n}')
+            load_config(p)
         assert "malformed JSON" in str(excinfo.value)
 
-    def test_non_object_root(self):
+    def test_non_object_root(self, tmp_path):
+        p = tmp_path / "cfg.json"
+        p.write_text("[1, 2]")
         with pytest.raises(ConfigError, match="object"):
-            parse_config_text("[1, 2]")
+            load_config(p)
 
     def test_load_config_missing_file(self, tmp_path):
         with pytest.raises(ConfigError, match="cannot read"):

@@ -5,13 +5,13 @@ batch planning, and short end-to-end loops on a tiny separable toy set.
 import numpy as np
 import pytest
 
+from specblend import trainer
 from specblend.losses import weighted_total
 from specblend.model import ModelDims, MultiTaskAE
 from specblend.trainer import (
     Adam,
     PlateauController,
     TrainConfig,
-    _batch_plan,
     epoch_plan,
     load_model_state,
     save_model_state,
@@ -172,11 +172,21 @@ class TestBatchPlan:
         (2, 2, 1),
     ])
     def test_counts(self, n, bs, expect):
-        assert _batch_plan(n, bs) == expect
+        bounds, _, _ = epoch_plan(n, TrainConfig(batch_size=bs))
+        assert len(bounds) == expect
+
+    @pytest.mark.parametrize("n,bs,expect", [
+        (100, 32, [(0, 32), (32, 64), (64, 96), (96, 100)]),
+        (65, 32, [(0, 32), (32, 65)]),
+        (33, 32, [(0, 33)]),
+    ])
+    def test_bounds_cover_the_epoch_in_order(self, n, bs, expect):
+        bounds, _, _ = epoch_plan(n, TrainConfig(batch_size=bs))
+        assert bounds == expect
 
     def test_rejects_single_sample(self):
         with pytest.raises(ValueError):
-            _batch_plan(1, 32)
+            epoch_plan(1, TrainConfig())
 
 
 class TestEpochPlan:
@@ -187,9 +197,21 @@ class TestEpochPlan:
     ])
     def test_plans(self, n, kw, steps, cpe, warmup):
         """Two checkpoints per epoch, one when an epoch is one step."""
-        got_steps, got_cpe, blend = epoch_plan(n, TrainConfig(**kw))
-        assert (got_steps, got_cpe, blend.warmup) == (steps, cpe, warmup)
+        bounds, checkpoints, blend = epoch_plan(n, TrainConfig(**kw))
+        assert (len(bounds), len(checkpoints), blend.warmup) == \
+            (steps, cpe, warmup)
         assert blend.window == TrainConfig(**kw).blend_window
+
+    @pytest.mark.parametrize("n, bs, expect", [
+        (80, 32, (1, 3)),
+        (160, 100, (1, 2)),
+        (100, 20, (2, 5)),
+        (6, 8, (1,)),
+    ])
+    def test_checkpoints_after_the_middle_and_last_step(self, n, bs, expect):
+        _, checkpoints, _ = epoch_plan(
+            n, TrainConfig(batch_size=bs, warmup_epochs=2, blend_window=2))
+        assert checkpoints == expect
 
     @pytest.mark.parametrize("kw, match", [
         (dict(warmup_epochs=1, blend_window=2), "warm-up must span >= 2"),
@@ -309,6 +331,45 @@ class TestTrainLoop:
         model = MultiTaskAE(TOY_DIMS, rng=np.random.default_rng(0))
         with pytest.raises(FloatingPointError, match="non-finite"):
             train(model, x, y, vx, vy, quick_config(max_epochs=1))
+
+    def test_calls_the_module_globals_on_schedule(self, monkeypatch):
+        """The loop reaches ``_task_losses``, ``update_weights``,
+        ``mine_semi_hard_triplets`` and ``Adam.step`` through the
+        ``trainer`` module, once per checkpoint or step of the plan, so
+        wrappers swapped in there see every call."""
+        counts = {}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] = counts.get(name, 0) + 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for owner, name in ((trainer, "_task_losses"),
+                            (trainer, "update_weights"),
+                            (trainer, "mine_semi_hard_triplets"),
+                            (trainer.Adam, "step")):
+            monkeypatch.setattr(owner, name,
+                                counting(name, vars(owner)[name]))
+        x, y = toy_data(10)         # 20 samples, bs 8 -> 3 steps
+        vx, vy = toy_data(4, seed=1)
+        model = MultiTaskAE(TOY_DIMS, rng=np.random.default_rng(0))
+        cfg = quick_config(max_epochs=3)
+        result = train(model, x, y, vx, vy, cfg)
+        bounds, checkpoints, _ = epoch_plan(len(x), cfg)
+        assert (len(bounds), len(checkpoints)) == (3, 2)
+        epochs = result.log.stopped_epoch + 1
+        assert epochs == 3
+        n_checkpoints = len(checkpoints) * epochs
+        n_steps = len(bounds) * epochs
+        assert len(result.log.rows) == n_checkpoints
+        assert counts == {
+            "_task_losses": n_checkpoints,
+            "update_weights": n_checkpoints,
+            # one mining per step, one per validation pass
+            "mine_semi_hard_triplets": n_steps + n_checkpoints,
+            "step": n_steps,
+        }
 
     def test_shape_validation(self):
         x, y = toy_data(6)

@@ -41,6 +41,19 @@ class TestTrialSet:
                 fs=100.0,
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_signals(self, bad):
+        signals = np.zeros((2, 4, 10), dtype=np.float32)
+        signals[1, 2, 3] = bad
+        with pytest.raises(ValueError, match="signals must be finite"):
+            TrialSet(
+                signals=signals,
+                labels=np.array([0, 1]),
+                subject_ids=np.zeros(2, dtype=np.int64),
+                session_ids=np.zeros(2, dtype=np.int64),
+                fs=100.0,
+            )
+
     def test_select_preserves_alignment(self):
         ts = generate_synthetic(SMALL)
         sub = ts.select([5, 2, 9])
